@@ -22,8 +22,6 @@ the nodal branch vanishes identically on the line x = 0.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +37,8 @@ from .spectral import EigenSpec, Parity
 
 
 def thread_count() -> int:
-    """Worker count from RTOA_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("RTOA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 0:
-        raise ValueError("RTOA_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Density cells run on the calling thread, so always 1."""
+    return 1
 
 
 def _kernel_scales(tau: float, x: float, t: float, k: PhysConstants):
@@ -71,7 +62,11 @@ def _f_integrals_result(
     q: QuadratureConfig,
     eps: float,
     strict: bool = True,
+    powers: tuple[float, ...] = (-0.5,),
 ):
+    """Damped branch integrals at one point: a (cos, sin) time-factor
+    column pair per entry of ``powers``, the exponent of sqrt(1+q^2) in
+    the weight.  None where the nodal kernel vanishes identically."""
     if eps <= 0.0:
         raise ValueError("epsilon must be > 0")
     a, b = _kernel_scales(tau, x, t, k)
@@ -81,9 +76,14 @@ def _f_integrals_result(
 
     def integrand(qq):
         root = np.sqrt(1.0 + qq * qq)
-        base = np.sqrt(qq) * root ** -0.5 * np.exp(-eps * qq)
-        base = base * (np.sin(a * qq) if nodal else np.cos(a * qq))
-        return np.stack([base * np.cos(b * root), base * np.sin(b * root)], axis=1)
+        sqrt_q, damping = np.sqrt(qq), np.exp(-eps * qq)
+        kernel = np.sin(a * qq) if nodal else np.cos(a * qq)
+        cos_b, sin_b = np.cos(b * root), np.sin(b * root)
+        columns = []
+        for power in powers:
+            base = sqrt_q * root**power * damping * kernel
+            columns += [base * cos_b, base * sin_b]
+        return np.stack(columns, axis=1)
 
     return integrate_sqrt_endpoint(
         integrand,
@@ -92,7 +92,7 @@ def _f_integrals_result(
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_subdivisions=q.max_subdivisions,
-        n_out=2,
+        n_out=2 * len(powers),
         raise_on_failure=strict,
     )
 
@@ -119,6 +119,34 @@ def f_integrals(
     return float(res.value[0]), float(res.value[1])
 
 
+def _density_cell(
+    branch: Parity,
+    tau: float,
+    x: float,
+    t: float,
+    k: PhysConstants,
+    q: QuadratureConfig,
+    epsilons: tuple[float, ...],
+    strict: bool,
+) -> tuple[float, bool]:
+    """(density, converged) at one point for each regulator in
+    ``epsilons``; a ladder of several is extrapolated to zero regulator
+    and clamped at zero (extrapolating a vanishing positive sequence may
+    undershoot by roundoff)."""
+    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
+    values, converged = [], True
+    for eps in epsilons:
+        res = _f_integrals_result(branch, tau, x, t, k, q, eps, strict=strict)
+        if res is None:
+            values.append(0.0)
+        else:
+            values.append(pref * float(res.value[0] ** 2 + res.value[1] ** 2))
+            converged = converged and res.converged
+    if len(epsilons) > 1:
+        return max(0.0, float(extrapolate_to_zero(epsilons, values))), converged
+    return values[0], converged
+
+
 def density(
     branch: Parity,
     tau: float,
@@ -130,9 +158,8 @@ def density(
 ) -> float:
     """Probability density of the time-evolved eigenfunction at (x, t),
     identical for both charge signs."""
-    f1, f2 = f_integrals(branch, tau, x, t, k, q, epsilon)
-    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
-    return pref * (f1 * f1 + f2 * f2)
+    eps = q.epsilon if epsilon is None else epsilon
+    return _density_cell(branch, tau, x, t, k, q, (eps,), strict=True)[0]
 
 
 def density_extrapolated(
@@ -144,10 +171,8 @@ def density_extrapolated(
     q: QuadratureConfig = QuadratureConfig(),
 ) -> float:
     """Density with the epsilon ladder extrapolated to zero regulator,
-    clamped at zero (extrapolating a vanishing positive sequence may
-    undershoot by roundoff)."""
-    values = [density(branch, tau, x, t, k, q, epsilon=eps) for eps in q.epsilon_ladder]
-    return max(0.0, float(extrapolate_to_zero(q.epsilon_ladder, values)))
+    clamped at zero."""
+    return _density_cell(branch, tau, x, t, k, q, q.epsilon_ladder, strict=True)[0]
 
 
 @dataclass(frozen=True)
@@ -190,42 +215,22 @@ def density_grid(
 ) -> DensityGrid:
     """Evaluate the density on a regular mesh.
 
-    Cells are independent work items; they are distributed across a
-    thread pool (bounded by RTOA_THREADS) and reassembled in ascending
-    row-major (t, x) order, so output is deterministic for a fixed
-    configuration.
+    Cells are evaluated on the calling thread in ascending row-major
+    (t, x) order, so output is deterministic for a fixed configuration.
+    Cells whose quadrature did not converge are kept and flagged.
     """
     if nx < 2 or nt < 2:
         raise ValueError("need nx, nt >= 2")
     xs = np.linspace(x_range[0], x_range[1], nx)
     ts = np.linspace(t_range[0], t_range[1], nt)
-    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
-
-    def cell(idx):
-        i, j = divmod(idx, nx)
-        x, t = float(xs[j]), float(ts[i])
-        vals, ok = [], True
-        for eps in epsilons:
-            res = _f_integrals_result(branch, tau, x, t, k, q, eps, strict=False)
-            if res is None:
-                vals.append(0.0)
-            else:
-                vals.append(pref * float(res.value[0] ** 2 + res.value[1] ** 2))
-                ok = ok and res.converged
-        if extrapolate:
-            return max(0.0, float(extrapolate_to_zero(epsilons, vals))), ok
-        return vals[0], ok
-
-    n_cells = nx * nt
-    workers = min(thread_count(), n_cells)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(cell, range(n_cells), chunksize=64))
-    else:
-        flat = [cell(i) for i in range(n_cells)]
-    values = np.asarray([v for v, _ in flat], dtype=float).reshape(nt, nx)
-    flagged = tuple(divmod(i, nx) for i, (_, ok) in enumerate(flat) if not ok)
+    cells = [
+        _density_cell(branch, tau, float(x), float(t), k, q, epsilons, strict=False)
+        for t in ts
+        for x in xs
+    ]
+    values = np.asarray([v for v, _ in cells], dtype=float).reshape(nt, nx)
+    flagged = tuple(divmod(i, nx) for i, (_, ok) in enumerate(cells) if not ok)
     spec = EigenSpec(ChargeSign.POSITIVE, branch, tau)
     return DensityGrid(xs, ts, values, spec, q, extrapolated=extrapolate, flagged=flagged)
 
@@ -245,39 +250,16 @@ def psi_representation_eigenfunction(
     branch uses the sin kernel and an extra factor i.
     """
     eps = q.epsilon if epsilon is None else epsilon
-    if eps <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    a, b = _kernel_scales(spec.tau, x, t, k)
-    lam = int(spec.lam)
-    nodal = spec.parity.is_nodal
-    if nodal and x == 0.0:
+    res = _f_integrals_result(spec.parity, spec.tau, x, t, k, q, eps, powers=(-1.0, 0.0))
+    if res is None:
         return 0.0 + 0.0j, 0.0 + 0.0j
-
-    def integrand(qq):
-        root = np.sqrt(1.0 + qq * qq)
-        base = np.sqrt(qq) * np.exp(-eps * qq)
-        base = base * (np.sin(a * qq) if nodal else np.cos(a * qq))
-        cosb = np.cos(lam * b * root)
-        sinb = np.sin(lam * b * root)
-        weighted = base / root
-        # columns: re/im of the weighted integral, re/im of the bare one
-        return np.stack(
-            [weighted * cosb, -weighted * sinb, base * cosb, -base * sinb], axis=1
-        )
-
-    res = integrate_sqrt_endpoint(
-        integrand,
-        q.cutoff(eps),
-        max_width=_panel_width(a, b),
-        abs_tol=q.abs_tol,
-        rel_tol=q.rel_tol,
-        max_subdivisions=q.max_subdivisions,
-        n_out=4,
-    )
-    weighted = res.value[0] + 1j * res.value[1]
-    bare = res.value[2] + 1j * res.value[3]
+    lam = int(spec.lam)
+    # the time phase is exp(-i lam b sqrt(1+q^2)), and cos(lam y) = cos(y),
+    # sin(lam y) = lam sin(y) for lam = +-1
+    weighted = res.value[0] - 1j * lam * res.value[1]
+    bare = res.value[2] - 1j * lam * res.value[3]
     pref = k.m0 * k.c**1.5 / (2.0**1.5 * math.pi * k.hbar)
-    if nodal:
+    if spec.parity.is_nodal:
         pref = pref * 1j
     return pref * (weighted + lam * bare), pref * (weighted - lam * bare)
 

@@ -75,6 +75,12 @@ class OverlapResult:
     regular_part: complex
 
 
+def eigen_amplitude_modulus(p, e, k: PhysConstants):
+    """|phi(p)| = sqrt(c / 4 pi hbar) * sqrt(|p| c / E_p), shared by every
+    eigenfunction; ``e`` is E_p on the same momenta."""
+    return math.sqrt(k.c / (4.0 * math.pi * k.hbar)) * np.sqrt(np.abs(p) * k.c / e)
+
+
 # The sign convention sgn(0) = 0 (numpy's) keeps the nodal branch odd.
 def eigenfunction_scalar(
     spec: EigenSpec, t: float, p, k: PhysConstants = PhysConstants()
@@ -84,8 +90,7 @@ def eigenfunction_scalar(
     p = np.asarray(p, dtype=float)
     e = energy(p, k)
     lam = int(spec.lam)
-    norm = math.sqrt(k.c / (4.0 * math.pi * k.hbar))
-    amp = norm * np.sqrt(np.abs(p) * k.c / e)
+    amp = eigen_amplitude_modulus(p, e, k)
     phase = np.exp(-1j * lam * (t - spec.tau) * e / k.hbar)
     out = amp * phase
     if spec.parity.is_nodal:
@@ -353,8 +358,7 @@ def completeness_check(
     taus = np.linspace(-tau_window, tau_window, n_tau)
     wt = trapezoid_weights(taus)
     e = energy(grid, k)
-    norm = math.sqrt(k.c / (4.0 * math.pi * k.hbar))
-    mod = norm * np.sqrt(np.abs(grid) * k.c / e)
+    mod = eigen_amplitude_modulus(grid, e, k)
     sgn = np.sign(grid)
 
     recon_upper = np.zeros_like(grid, dtype=complex)

@@ -35,7 +35,7 @@ from .errors import (
     RangeBoundaryError,
     StateTruncationError,
 )
-from .spectral import EigenSpec, Parity, eigenfunction_scalar
+from .spectral import EigenSpec, Parity, eigen_amplitude_modulus, eigenfunction_scalar
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
@@ -221,8 +221,7 @@ def toa_distribution(
     _check_edge_decay(grid, amp)
     w = trapezoid_weights(grid)
     e = energy(grid, kk)
-    mod = math.sqrt(kk.c / (4.0 * math.pi * kk.hbar)) * np.sqrt(np.abs(grid) * kk.c / e)
-    base = w * np.conj(amp) * mod
+    base = w * np.conj(amp) * eigen_amplitude_modulus(grid, e, kk)
     base_nodal = base * np.sign(grid)
     lam_i = int(lam)
 

@@ -141,7 +141,7 @@ class TestToaDist:
             capsys,
             "--out", str(out), "--emit-plot-script",
             "toa-dist", "--p0", "3", "--x0", "-7", "--n-tau", "51",
-            "--tau-min", "5", "--tau-max", "11", "--epsilon-free",
+            "--tau-min", "5", "--tau-max", "11",
         )
         assert code == 0
         lines = out.read_text().splitlines()

@@ -142,12 +142,20 @@ class TestDensityGrid:
         assert abs(g.t_samples[i] - 0.5) <= (g.t_samples[1] - g.t_samples[0])
         assert abs(g.x_samples[j]) <= (g.x_samples[1] - g.x_samples[0])
 
-    def test_deterministic_under_threads(self, monkeypatch):
-        monkeypatch.setenv("RTOA_THREADS", "1")
+    def test_deterministic_repeat_run(self):
         a = density_grid(Parity.NODAL, 0.5, (-1, 1), (0, 1), 7, 3, K, Q)
-        monkeypatch.setenv("RTOA_THREADS", "4")
         b = density_grid(Parity.NODAL, 0.5, (-1, 1), (0, 1), 7, 3, K, Q)
-        assert np.array_equal(a.values, b.values)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.flagged == b.flagged
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    def test_point_densities_equal_grid_cells(self, branch):
+        # one code path: the point routines and the grid agree bit for bit
+        for extrapolate, point in ((False, density), (True, density_extrapolated)):
+            g = density_grid(branch, 0.5, (-1.5, 1.5), (0.1, 0.9), 5, 3, K, Q, extrapolate=extrapolate)
+            for i, t in enumerate(g.t_samples):
+                for j, x in enumerate(g.x_samples):
+                    assert point(branch, 0.5, float(x), float(t), K, Q) == g.values[i, j]
 
     def test_flagging_on_starved_budget(self):
         q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
