@@ -41,12 +41,6 @@ def thread_count() -> int:
     return 1
 
 
-def _kernel_scales(tau: float, x: float, t: float, k: PhysConstants):
-    a = k.momentum_scale * x / k.hbar
-    b = k.rest_energy * (t - tau) / k.hbar
-    return a, b
-
-
 def _panel_width(a: float, b: float) -> float:
     """Half period of the fastest oscillating factor, capped at 4."""
     fastest = max(abs(a), abs(b), 1e-30)
@@ -56,43 +50,50 @@ def _panel_width(a: float, b: float) -> float:
 def _f_integrals_result(
     branch: Parity,
     tau: float,
-    x: float,
-    t: float,
+    xs,
+    ts,
     k: PhysConstants,
     q: QuadratureConfig,
     eps: float,
     strict: bool = True,
     powers: tuple[float, ...] = (-0.5,),
 ):
-    """Damped branch integrals at one point: a (cos, sin) time-factor
-    column pair per entry of ``powers``, the exponent of sqrt(1+q^2) in
-    the weight.  None where the nodal kernel vanishes identically."""
+    """Damped branch integrals on the mesh ``ts`` x ``xs``, one member
+    per cell in row-major (t, x) order: a (cos, sin) time-factor column
+    pair per entry of ``powers``, the exponent of sqrt(1+q^2) in the
+    weight.
+
+    The integrand factors as g(q) T(b sqrt(1+q^2)) K(a q), so each node
+    costs len(xs) + len(ts) trigonometric evaluations, not their product.
+    """
     if eps <= 0.0:
         raise ValueError("epsilon must be > 0")
-    a, b = _kernel_scales(tau, x, t, k)
-    nodal = branch.is_nodal
-    if nodal and x == 0.0:
-        return None  # sin(0) kernel: exact zero before any quadrature
+    a = k.momentum_scale * np.asarray(xs, dtype=float) / k.hbar
+    b = k.rest_energy * (np.asarray(ts, dtype=float) - tau) / k.hbar
+    kernel = np.sin if branch.is_nodal else np.cos  # sin(0) = 0: nodal x = 0 cells are exact zeros
 
     def integrand(qq):
         root = np.sqrt(1.0 + qq * qq)
         sqrt_q, damping = np.sqrt(qq), np.exp(-eps * qq)
-        kernel = np.sin(a * qq) if nodal else np.cos(a * qq)
-        cos_b, sin_b = np.cos(b * root), np.sin(b * root)
-        columns = []
-        for power in powers:
-            base = sqrt_q * root**power * damping * kernel
-            columns += [base * cos_b, base * sin_b]
-        return np.stack(columns, axis=1)
+        space = kernel(np.multiply.outer(qq, a))
+        phase = np.multiply.outer(root, b)
+        time = (np.cos(phase)[:, :, None], np.sin(phase)[:, :, None])
+        cells = np.empty((qq.size, b.size, a.size, len(powers), 2))
+        for i, power in enumerate(powers):
+            weighted = (sqrt_q * root**power * damping)[:, None, None] * space[:, None, :]
+            for j, factor in enumerate(time):
+                np.multiply(weighted, factor, out=cells[..., i, j])
+        return cells.reshape(qq.size, b.size * a.size, 2 * len(powers))
 
     return integrate_sqrt_endpoint(
         integrand,
         q.cutoff(eps),
-        max_width=_panel_width(a, b),
+        max_width=_panel_width(np.abs(a).max(), np.abs(b).max()),
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_subdivisions=q.max_subdivisions,
         n_out=2 * len(powers),
+        members=a.size * b.size,
         raise_on_failure=strict,
     )
 
@@ -113,38 +114,49 @@ def f_integrals(
     never enters.
     """
     eps = q.epsilon if epsilon is None else epsilon
-    res = _f_integrals_result(branch, tau, x, t, k, q, eps)
-    if res is None:
-        return 0.0, 0.0
-    return float(res.value[0]), float(res.value[1])
+    res = _f_integrals_result(branch, tau, [x], [t], k, q, eps)
+    return float(res.value[0, 0]), float(res.value[0, 1])
 
 
-def _density_cell(
+# Mesh cells integrated together in one call: enough that the per-node
+# trigonometric work is small against the cell products, few enough that
+# one GK15 panel of (cos, sin) values (15 * 2 * 1024) fits the engine's
+# block of 2**15 values.  A row wider than this is still one call.
+_MESH_CELLS = 1024
+
+
+def _density_mesh(
     branch: Parity,
     tau: float,
-    x: float,
-    t: float,
+    xs: np.ndarray,
+    ts: np.ndarray,
     k: PhysConstants,
     q: QuadratureConfig,
     epsilons: tuple[float, ...],
     strict: bool,
-) -> tuple[float, bool]:
-    """(density, converged) at one point for each regulator in
-    ``epsilons``; a ladder of several is extrapolated to zero regulator
-    and clamped at zero (extrapolating a vanishing positive sequence may
-    undershoot by roundoff)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(densities, converged) on the mesh ``ts`` x ``xs``, both shaped
+    (len(ts), len(xs)), for each regulator in ``epsilons``.  Rows are
+    integrated in blocks of about _MESH_CELLS cells; a ladder of several
+    regulators is extrapolated to zero and clamped at zero
+    (extrapolating a vanishing positive sequence may undershoot by
+    roundoff)."""
     pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
-    values, converged = [], True
+    shape = (ts.size, xs.size)
+    rows = max(1, _MESH_CELLS // xs.size)
+    rungs, converged = [], np.ones(shape, dtype=bool)
     for eps in epsilons:
-        res = _f_integrals_result(branch, tau, x, t, k, q, eps, strict=strict)
-        if res is None:
-            values.append(0.0)
-        else:
-            values.append(pref * float(res.value[0] ** 2 + res.value[1] ** 2))
-            converged = converged and res.converged
+        rung = np.empty(shape)
+        for i in range(0, ts.size, rows):
+            res = _f_integrals_result(branch, tau, xs, ts[i : i + rows], k, q, eps, strict=strict)
+            f1, f2 = res.value[:, 0], res.value[:, 1]
+            rung[i : i + rows] = (pref * (f1**2 + f2**2)).reshape(-1, xs.size)
+            converged[i : i + rows] &= res.member_converged.reshape(-1, xs.size)
+        rungs.append(rung)
     if len(epsilons) > 1:
-        return max(0.0, float(extrapolate_to_zero(epsilons, values))), converged
-    return values[0], converged
+        extrapolated = extrapolate_to_zero(epsilons, rungs)
+        return np.where(extrapolated > 0.0, extrapolated, 0.0), converged
+    return rungs[0], converged
 
 
 def density(
@@ -159,7 +171,8 @@ def density(
     """Probability density of the time-evolved eigenfunction at (x, t),
     identical for both charge signs."""
     eps = q.epsilon if epsilon is None else epsilon
-    return _density_cell(branch, tau, x, t, k, q, (eps,), strict=True)[0]
+    values, _ = _density_mesh(branch, tau, np.array([x]), np.array([t]), k, q, (eps,), strict=True)
+    return float(values[0, 0])
 
 
 def density_extrapolated(
@@ -172,7 +185,10 @@ def density_extrapolated(
 ) -> float:
     """Density with the epsilon ladder extrapolated to zero regulator,
     clamped at zero."""
-    return _density_cell(branch, tau, x, t, k, q, q.epsilon_ladder, strict=True)[0]
+    values, _ = _density_mesh(
+        branch, tau, np.array([x]), np.array([t]), k, q, q.epsilon_ladder, strict=True
+    )
+    return float(values[0, 0])
 
 
 @dataclass(frozen=True)
@@ -215,22 +231,22 @@ def density_grid(
 ) -> DensityGrid:
     """Evaluate the density on a regular mesh.
 
-    Cells are evaluated on the calling thread in ascending row-major
-    (t, x) order, so output is deterministic for a fixed configuration.
-    Cells whose quadrature did not converge are kept and flagged.
+    Rows are integrated in blocks of about _MESH_CELLS cells: one
+    batched engine call per block and regulator, one member per cell
+    on a shared panel tree, with the integrand evaluated in blocks
+    within the engine's value budget; a ladder is extrapolated in one
+    array call.  Each cell keeps its own tolerance and converged flag;
+    cells whose quadrature did not converge are kept and listed in
+    ``flagged``.  Everything runs on the calling thread in a fixed
+    order, so output is deterministic for a fixed configuration.
     """
     if nx < 2 or nt < 2:
         raise ValueError("need nx, nt >= 2")
     xs = np.linspace(x_range[0], x_range[1], nx)
     ts = np.linspace(t_range[0], t_range[1], nt)
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
-    cells = [
-        _density_cell(branch, tau, float(x), float(t), k, q, epsilons, strict=False)
-        for t in ts
-        for x in xs
-    ]
-    values = np.asarray([v for v, _ in cells], dtype=float).reshape(nt, nx)
-    flagged = tuple(divmod(i, nx) for i, (_, ok) in enumerate(cells) if not ok)
+    values, converged = _density_mesh(branch, tau, xs, ts, k, q, epsilons, strict=False)
+    flagged = tuple((int(i), int(j)) for i, j in np.argwhere(~converged))
     spec = EigenSpec(ChargeSign.POSITIVE, branch, tau)
     return DensityGrid(xs, ts, values, spec, q, extrapolated=extrapolate, flagged=flagged)
 
@@ -250,14 +266,13 @@ def psi_representation_eigenfunction(
     branch uses the sin kernel and an extra factor i.
     """
     eps = q.epsilon if epsilon is None else epsilon
-    res = _f_integrals_result(spec.parity, spec.tau, x, t, k, q, eps, powers=(-1.0, 0.0))
-    if res is None:
-        return 0.0 + 0.0j, 0.0 + 0.0j
+    res = _f_integrals_result(spec.parity, spec.tau, [x], [t], k, q, eps, powers=(-1.0, 0.0))
+    value = res.value[0]
     lam = int(spec.lam)
     # the time phase is exp(-i lam b sqrt(1+q^2)), and cos(lam y) = cos(y),
     # sin(lam y) = lam sin(y) for lam = +-1
-    weighted = res.value[0] - 1j * lam * res.value[1]
-    bare = res.value[2] - 1j * lam * res.value[3]
+    weighted = value[0] - 1j * lam * value[1]
+    bare = value[2] - 1j * lam * value[3]
     pref = k.m0 * k.c**1.5 / (2.0**1.5 * math.pi * k.hbar)
     if spec.parity.is_nodal:
         pref = pref * 1j

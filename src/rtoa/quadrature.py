@@ -6,6 +6,18 @@ vector-valued integrands, so one pass can produce e.g. the cosine and
 sine components of an oscillatory transform.  Integrable sqrt endpoint
 behaviour is handled by a dedicated first panel under the substitution
 q = u^2 rather than by brute subdivision.
+
+With ``members=m`` one call integrates m integrands over one shared
+panel tree; ``f`` then returns (npoints, m, n_out).  Each member keeps
+the single-integrand rule: its own tolerance
+max(abs_tol, rel_tol * max|total|), its own error estimate and its own
+converged flag (``QuadratureResult.member_converged``; ``converged``
+stays one bool, true when every member converged).  Panels are
+evaluated in blocks of at most _BLOCK_VALUES integrand values.  When
+the per-panel table of all members would exceed that budget, the
+engine sweeps the initial panels once keeping only per-member totals,
+then keeps a table, and refines, only for the members still over
+tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +57,10 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
+# Most integrand values (abscissae x members x outputs) one call of ``f``
+# returns, and the largest per-panel table kept for refinement.
+_BLOCK_VALUES = 2**15
+
 # full symmetric 15-node rule on [-1, 1]
 GK_NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
 GK_WEIGHTS = np.concatenate([_WGK[:7], _WGK[::-1]])
@@ -61,7 +77,9 @@ class QuadratureConfig:
     ``epsilon_ladder`` the strictly decreasing sequence used when
     extrapolating the regulator away.  ``q_max`` may be left None, in
     which case it resolves to max(50, 30/epsilon) so the damping factor
-    is below 1e-12 at the cutoff.
+    is below 1e-12 at the cutoff.  An explicit ``q_max`` is checked
+    against every regulator it is used with, so a ladder rung it would
+    cut while the damping is still >= 1e-12 is refused.
     """
 
     epsilon: float = 0.3
@@ -80,49 +98,100 @@ class QuadratureConfig:
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("epsilon ladder must be strictly decreasing")
         object.__setattr__(self, "epsilon_ladder", ladder)
-        if self.q_max is not None and math.exp(-self.epsilon * self.q_max) >= 1e-12:
-            raise ValueError("q_max too small: damping exceeds 1e-12 at the cutoff")
+        self.cutoff()  # refuses a q_max that does not damp epsilon
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
     def cutoff(self, epsilon: float | None = None) -> float:
+        """The momentum cutoff for regulator ``epsilon``; an explicit
+        ``q_max`` that leaves damping >= 1e-12 there is refused."""
         eps = self.epsilon if epsilon is None else epsilon
         if self.q_max is not None:
+            if math.exp(-eps * self.q_max) >= 1e-12:
+                raise ValueError(
+                    f"q_max {self.q_max:g} too small for epsilon {eps:g}: "
+                    "damping exceeds 1e-12 at the cutoff"
+                )
             return self.q_max
         return max(50.0, 30.0 / eps)
 
 
 @dataclass
 class QuadratureResult:
-    value: np.ndarray  # shape (n_out,)
-    error: float
+    """``value`` is shaped (n_out,), or (members, n_out) with ``members``;
+    ``error`` is then one estimate per member.  ``converged`` holds when
+    every member converged; ``member_converged`` gives the per-member
+    flags (None without ``members``)."""
+
+    value: np.ndarray
+    error: float | np.ndarray
     n_panels: int
     converged: bool = True
+    member_converged: np.ndarray | None = None
 
     def scalar(self) -> float:
         return float(self.value[0])
 
 
-def _evaluate_panels(f, panels: np.ndarray, n_out: int):
+def _gk15(f, panels: np.ndarray, members: int, n_out: int, cols):
     """GK15 on a batch of panels.  Returns Kronrod values
-    (n_panels, n_out) and QUADPACK-style error estimates (n_panels,)."""
+    (n_panels, n_cols, n_out) and QUADPACK-style error estimates
+    (n_panels, n_cols) for the member columns ``cols`` (all when None)."""
     a = panels[:, 0]
     half = 0.5 * (panels[:, 1] - panels[:, 0])
     center = a + half
     x = center[:, None] + half[:, None] * GK_NODES[None, :]
     fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(panels.shape[0], GK_NODES.size, n_out)
+    fx = fx.reshape(panels.shape[0], GK_NODES.size, members, n_out)
+    if cols is not None:
+        fx = fx[:, :, cols]
+    fx = fx.reshape(panels.shape[0], GK_NODES.size, -1)
     resk = np.einsum("j,pjo->po", GK_WEIGHTS, fx)
     resg = np.einsum("j,pjo->po", G_WEIGHTS, fx)
     reskh = 0.5 * resk
-    resasc = np.einsum("j,pjo->po", GK_WEIGHTS, np.abs(fx - reskh[:, None, :]))
+    spread = fx - reskh[:, None, :]
+    resasc = np.einsum("j,pjo->po", GK_WEIGHTS, np.abs(spread, out=spread))
     values = resk * half[:, None]
     raw = np.abs((resk - resg) * half[:, None])
     resasc = resasc * half[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (raw > 0.0), scaled, raw)
-    return values, err.max(axis=1)
+    shape = (panels.shape[0], -1, n_out)
+    err = err.reshape(shape)
+    worst = err[:, :, 0]
+    for col in range(1, n_out):  # np.maximum: a reduce over the short axis is slow
+        worst = np.maximum(worst, err[:, :, col])
+    return values.reshape(shape), worst
+
+
+def _blocks(panels: np.ndarray, members: int, n_out: int):
+    """Panels in runs of at most _BLOCK_VALUES integrand values (at
+    least one panel per run)."""
+    step = max(1, _BLOCK_VALUES // (GK_NODES.size * members * n_out))
+    return (panels[i : i + step] for i in range(0, panels.shape[0], step))
+
+
+def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, cols=None):
+    """The per-panel table of :func:`_gk15`, evaluated block by block."""
+    parts = [_gk15(f, block, members, n_out, cols) for block in _blocks(panels, members, n_out)]
+    values, errors = zip(*parts)
+    return np.concatenate(values), np.concatenate(errors)
+
+
+def _sweep(f, panels: np.ndarray, members: int, n_out: int):
+    """Per-member totals and error sums over ``panels``, keeping no
+    per-panel table."""
+    total, total_err = np.zeros((members, n_out)), np.zeros(members)
+    for block in _blocks(panels, members, n_out):
+        values, errors = _gk15(f, block, members, n_out, None)
+        total += values.sum(axis=0)
+        total_err += errors.sum(axis=0)
+    return total, total_err
+
+
+def _tolerance(total: np.ndarray, abs_tol: float, rel_tol: float) -> np.ndarray:
+    return np.maximum(abs_tol, rel_tol * np.abs(total).max(axis=1))
 
 
 def adaptive_quadrature(
@@ -136,14 +205,20 @@ def adaptive_quadrature(
     max_width: float | None = None,
     breakpoints=None,
     n_out: int = 1,
+    members: int | None = None,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] with adaptive GK15 bisection.
 
     ``f`` maps a flat array of abscissae to an array of shape
-    (npoints,) or (npoints, n_out).  ``max_width`` caps the initial
-    panel width (use a half period of the fastest oscillating factor);
+    (npoints,) or (npoints, n_out), or (npoints, members, n_out) when
+    ``members`` is given.  ``max_width`` caps the initial panel width
+    (use a half period of the fastest oscillating factor);
     ``breakpoints`` seeds extra panel boundaries.
+
+    Members share one panel tree: a panel is bisected when any member
+    still over its tolerance asks for it, and a member's total is fixed
+    once that member converges.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -161,38 +236,62 @@ def adaptive_quadrature(
             panels.append((lo, hi))
     panels = np.asarray(panels, dtype=float)
 
-    values, errors = _evaluate_panels(f, panels, n_out)
+    n_members = 1 if members is None else members
+    value, error = np.zeros((n_members, n_out)), np.zeros(n_members)
+    converged = np.ones(n_members, dtype=bool)
+    act = np.arange(n_members)  # members still over tolerance
+    if panels.shape[0] * n_members * n_out > _BLOCK_VALUES:
+        # the per-panel table would not fit: one sweep for the totals,
+        # then a table for the members still over tolerance only
+        total, total_err = _sweep(f, panels, n_members, n_out)
+        done = total_err <= _tolerance(total, abs_tol, rel_tol)
+        value[done], error[done] = total[done], total_err[done]
+        act = act[~done]
+    if act.size:
+        cols = None if act.size == n_members else act
+        values, errors = _evaluate_panels(f, panels, n_members, n_out, cols)
     span = b - a
-    while True:
+    while act.size:
         total = values.sum(axis=0)
-        total_err = float(errors.sum())
-        tol = max(abs_tol, rel_tol * float(np.max(np.abs(total))))
-        if total_err <= tol:
-            return QuadratureResult(total, total_err, panels.shape[0])
+        total_err = errors.sum(axis=0)
+        tol = _tolerance(total, abs_tol, rel_tol)
+        done = total_err <= tol
+        value[act], error[act] = total, total_err
+        if done.all():
+            break
+        if done.any():
+            act, tol = act[~done], tol[~done]
+            values, errors = values[:, ~done], errors[:, ~done]
         widths = panels[:, 1] - panels[:, 0]
-        local_tol = 0.5 * tol * widths / span
-        refine = errors > local_tol
-        if not refine.any():
-            refine[np.argmax(errors)] = True
+        over = errors > 0.5 * tol * widths[:, None] / span
+        refine = over.any(axis=1)
+        stuck = ~over.any(axis=0)
+        refine[np.argmax(errors[:, stuck], axis=0)] = True
         n_new = panels.shape[0] + int(refine.sum())
         if n_new > max_subdivisions:
+            converged[act] = False
             if raise_on_failure:
+                worst = int(np.argmax(error[act] / tol))
                 raise QuadratureConvergenceError(
-                    f"quadrature stalled at error {total_err:.3e} (tol {tol:.3e}) "
+                    f"quadrature stalled at error {error[act[worst]]:.3e} (tol {tol[worst]:.3e}) "
                     f"after {panels.shape[0]} panels",
-                    estimate=total,
-                    error=total_err,
+                    estimate=value[0] if members is None else value,
+                    error=float(error[act[worst]]),
                 )
-            return QuadratureResult(total, total_err, panels.shape[0], converged=False)
+            break
         bad = panels[refine]
         mid = 0.5 * (bad[:, 0] + bad[:, 1])
         children = np.concatenate(
             [np.stack([bad[:, 0], mid], axis=1), np.stack([mid, bad[:, 1]], axis=1)]
         )
-        child_vals, child_errs = _evaluate_panels(f, children, n_out)
+        cols = None if act.size == n_members else act
+        child_vals, child_errs = _evaluate_panels(f, children, n_members, n_out, cols)
         panels = np.concatenate([panels[~refine], children])
         values = np.concatenate([values[~refine], child_vals])
         errors = np.concatenate([errors[~refine], child_errs])
+    if members is None:
+        return QuadratureResult(value[0], float(error[0]), panels.shape[0], bool(converged[0]))
+    return QuadratureResult(value, error, panels.shape[0], bool(converged.all()), converged)
 
 
 def integrate_sqrt_endpoint(
@@ -205,43 +304,43 @@ def integrate_sqrt_endpoint(
     rel_tol: float = 1e-7,
     max_subdivisions: int = 10_000,
     n_out: int = 1,
+    members: int | None = None,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate f over (0, b] where f(q) ~ sqrt(q) * smooth near 0.
 
     The leading panel [0, first_panel] is computed under q = u^2, which
     maps the sqrt behaviour onto a smooth integrand; the remainder uses
-    the plain adaptive rule.
+    the plain adaptive rule.  ``f`` and ``members`` are as for
+    :func:`adaptive_quadrature`.
     """
     q1 = min(first_panel, b)
-    head = adaptive_quadrature(
-        lambda u: 2.0 * u[:, None] * np.asarray(f(u * u)).reshape(u.size, n_out),
-        0.0,
-        math.sqrt(q1),
+    shape = (n_out,) if members is None else (members, n_out)
+    scale = (-1,) + (1,) * len(shape)  # 2u broadcast over members and outputs
+    common = dict(
         abs_tol=0.5 * abs_tol,
         rel_tol=rel_tol,
         max_subdivisions=max_subdivisions,
         n_out=n_out,
+        members=members,
         raise_on_failure=raise_on_failure,
+    )
+    head = adaptive_quadrature(
+        lambda u: 2.0 * u.reshape(scale) * np.asarray(f(u * u)).reshape(u.size, *shape),
+        0.0,
+        math.sqrt(q1),
+        **common,
     )
     if q1 >= b:
         return head
-    tail = adaptive_quadrature(
-        f,
-        q1,
-        b,
-        abs_tol=0.5 * abs_tol,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        max_width=max_width,
-        n_out=n_out,
-        raise_on_failure=raise_on_failure,
-    )
+    tail = adaptive_quadrature(f, q1, b, max_width=max_width, **common)
+    flags = None if members is None else head.member_converged & tail.member_converged
     return QuadratureResult(
         head.value + tail.value,
         head.error + tail.error,
         head.n_panels + tail.n_panels,
         converged=head.converged and tail.converged,
+        member_converged=flags,
     )
 
 

@@ -194,18 +194,24 @@ def toa_distribution(
     With ``tau_range`` None and a Gaussian state, the window spans
     [t_ph - 5, t_class + 5 (t_class - t_ph) + 10] for p0 > 0 (mirrored
     for p0 < 0) and a symmetric window for p0 ~ 0, which covers the
-    peak, the photon wall and the slow tail.
+    peak, the photon wall and the slow tail.  A Gaussian state carries
+    its own constants, so a different ``k`` is refused; a sampled state
+    needs ``k`` and must occupy one charge block.
     """
     if n_tau < 2:
         raise ValueError("need n_tau >= 2")
     if isinstance(state, GaussianState):
-        kk = state.k if k is None else k
+        if k is not None and k != state.k:
+            raise ValueError("constants k differ from the Gaussian state's own")
+        kk = state.k
         field = state.field()
         p0, x0 = state.p0, state.x0
         lam = state.lam
     else:
         if k is None:
             raise ValueError("sampled states need explicit constants")
+        if np.any(state.upper) and np.any(state.lower):
+            raise ValueError("sampled state occupies both charge blocks; pass one block at a time")
         kk = k
         field = state
         p0 = x0 = math.nan

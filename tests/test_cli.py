@@ -188,6 +188,18 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown config keys" in err
 
+    def test_given_ladder_must_start_at_epsilon(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.2, "epsilon_ladder": [0.3, 0.15]}))
+        code, _, err = run(capsys, "--config", str(cfg), "verify-algebra")
+        assert code == 1
+        assert "must start at epsilon" in err
+        # the default ladder is re-anchored at the working regulator
+        cfg.write_text(json.dumps({"epsilon": 0.2}))
+        code, _, err = run(capsys, "--config", str(cfg), "verify-algebra")
+        assert code == 0
+        assert '"epsilon_ladder": [0.2, 0.1, 0.05]' in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         argv = [

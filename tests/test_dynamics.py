@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtoa.core import ChargeSign, PhysConstants
 from rtoa.errors import RangeBoundaryError
@@ -60,6 +61,29 @@ class TestFIntegrals:
             # t -> 2 tau - t flips the sin factor only
             assert c[0] == pytest.approx(a[0], abs=1e-10)
             assert c[1] == pytest.approx(-a[1], abs=1e-10)
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    @pytest.mark.parametrize("x, t", [(1.3, 0.9), (0.4, 1.6), (2.5, 0.2), (-0.8, 0.5)])
+    def test_matches_quadpack_off_the_light_cone(self, branch, x, t):
+        # independent oracle: QUADPACK on the same damped integrands over
+        # [0, cutoff], at points with |x| != c |t - tau|
+        from scipy.integrate import quad
+
+        tau = 0.5
+        a, b = K.momentum_scale * x / K.hbar, K.rest_energy * (t - tau) / K.hbar
+        kernel = math.sin if branch.is_nodal else math.cos
+        eps = Q.epsilon
+
+        def integrand(qq, time):
+            root = math.sqrt(1.0 + qq * qq)
+            weight = math.sqrt(qq) / math.sqrt(root) * math.exp(-eps * qq)
+            return weight * kernel(a * qq) * time(b * root)
+
+        expect = [
+            quad(integrand, 0.0, Q.cutoff(eps), args=(time,), limit=2000, epsabs=1e-13, epsrel=1e-13)[0]
+            for time in (math.cos, math.sin)
+        ]
+        assert f_integrals(branch, tau, x, t, K, Q) == pytest.approx(expect, rel=0, abs=1e-10)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
@@ -150,12 +174,29 @@ class TestDensityGrid:
 
     @pytest.mark.parametrize("branch", list(Parity))
     def test_point_densities_equal_grid_cells(self, branch):
-        # one code path: the point routines and the grid agree bit for bit
+        # one code path: the point routines are the 1 x 1 mesh; grid cells
+        # share a finer panel tree, so they agree to roundoff, not bitwise
         for extrapolate, point in ((False, density), (True, density_extrapolated)):
             g = density_grid(branch, 0.5, (-1.5, 1.5), (0.1, 0.9), 5, 3, K, Q, extrapolate=extrapolate)
             for i, t in enumerate(g.t_samples):
                 for j, x in enumerate(g.x_samples):
-                    assert point(branch, 0.5, float(x), float(t), K, Q) == g.values[i, j]
+                    value = point(branch, 0.5, float(x), float(t), K, Q)
+                    assert value == pytest.approx(g.values[i, j], rel=1e-12, abs=0.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        branch=st.sampled_from(list(Parity)),
+        tau=st.floats(0.2, 1.5),
+        x_half=st.floats(0.5, 4.0),
+        t_half=st.floats(0.1, 1.5),
+        nx=st.integers(2, 7),
+        nt=st.integers(2, 5),
+    )
+    def test_even_in_x_and_time_offset(self, branch, tau, x_half, t_half, nx, nt):
+        # on a mesh symmetric about (0, tau), P(x, t) = P(-x, t) = P(x, 2 tau - t)
+        g = density_grid(branch, tau, (-x_half, x_half), (tau - t_half, tau + t_half), nx, nt, K, Q)
+        np.testing.assert_allclose(g.values, g.values[:, ::-1], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(g.values, g.values[::-1, :], rtol=1e-9, atol=1e-12)
 
     def test_flagging_on_starved_budget(self):
         q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)

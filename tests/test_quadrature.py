@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rtoa import quadrature
 from rtoa.errors import QuadratureConvergenceError
 from rtoa.quadrature import (
     QuadratureConfig,
@@ -105,6 +106,93 @@ class TestSqrtEndpoint:
         assert res.value[1] == pytest.approx(expect_im, abs=2e-10)
 
 
+# damped oscillations with a different frequency and decay per member,
+# each with a (cos, sin) output pair
+RATES = np.array([0.2, 0.3, 0.5, 0.8, 1.1])
+FREQS = np.array([0.5, 2.0, 3.5, 6.0, 9.0])
+
+
+def member_pair(x, rate, freq):
+    damp = np.exp(-np.multiply.outer(x, rate))
+    phase = np.multiply.outer(x, freq)
+    return np.stack([damp * np.cos(phase), damp * np.sin(phase)], axis=-1)
+
+
+def members_f(x):
+    return member_pair(x, RATES, FREQS)
+
+
+class TestMembers:
+    KW = dict(max_width=math.pi / FREQS.max(), abs_tol=1e-12, rel_tol=1e-10, n_out=2)
+
+    def singles(self, **kw):
+        return np.array([
+            adaptive_quadrature(lambda x, r=r, w=w: member_pair(x, r, w), 0.0, 60.0, **kw).value
+            for r, w in zip(RATES, FREQS)
+        ])
+
+    def test_members_equal_single_calls(self):
+        batched = adaptive_quadrature(members_f, 0.0, 60.0, members=RATES.size, **self.KW)
+        assert batched.value.shape == (RATES.size, 2)
+        assert batched.error.shape == (RATES.size,)
+        np.testing.assert_allclose(batched.value, self.singles(**self.KW), rtol=0, atol=1e-12)
+
+    def test_swept_members_equal_single_calls(self, monkeypatch):
+        # a budget smaller than the per-panel table forces the sweep path;
+        # on unit-width panels the two fastest members are refined after it
+        monkeypatch.setattr(quadrature, "_BLOCK_VALUES", 15 * RATES.size * 2 * 4)
+        kw = dict(self.KW, max_width=1.0)
+        batched = adaptive_quadrature(members_f, 0.0, 60.0, members=RATES.size, **kw)
+        assert batched.converged
+        np.testing.assert_allclose(batched.value, self.singles(**kw), rtol=0, atol=1e-12)
+
+    def test_sqrt_endpoint_members_equal_single_calls(self):
+        def sqrt_members(q):
+            return np.sqrt(q)[:, None, None] * members_f(q)
+
+        batched = integrate_sqrt_endpoint(sqrt_members, 60.0, members=RATES.size, **self.KW)
+        singles = np.array([
+            integrate_sqrt_endpoint(
+                lambda q, r=r, w=w: np.sqrt(q)[:, None] * member_pair(q, r, w), 60.0, **self.KW
+            ).value
+            for r, w in zip(RATES, FREQS)
+        ])
+        np.testing.assert_allclose(batched.value, singles, rtol=0, atol=1e-12)
+        assert batched.member_converged.tolist() == [True] * RATES.size
+
+    def test_starved_budget_flags_only_hard_members(self):
+        def f(x):
+            # a polynomial the initial panels integrate exactly, and an oscillation they cannot
+            return np.stack([x**3 - 2.0 * x, np.cos(200.0 * x)], axis=1)[:, :, None]
+
+        starved = dict(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=4, members=2)
+        res = adaptive_quadrature(f, 0.0, 50.0, raise_on_failure=False, **starved)
+        assert res.member_converged.tolist() == [True, False]
+        assert res.converged is False
+        assert res.value[0, 0] == pytest.approx(50.0**4 / 4 - 50.0**2, rel=1e-13)
+        with pytest.raises(QuadratureConvergenceError):
+            adaptive_quadrature(f, 0.0, 50.0, **starved)
+
+    def test_converged_is_a_plain_bool(self):
+        single = adaptive_quadrature(np.cos, 0.0, 1.0)
+        batched = adaptive_quadrature(members_f, 0.0, 60.0, members=RATES.size, **self.KW)
+        assert type(single.converged) is bool and single.member_converged is None
+        assert type(batched.converged) is bool and batched.converged
+
+    def test_f_never_exceeds_the_value_budget(self):
+        handed = []
+
+        def f(x):
+            handed.append(x.size * RATES.size * 2)
+            return members_f(x)
+
+        # enough initial panels that the per-panel table is swept, not kept
+        assert math.ceil(1200.0 / self.KW["max_width"]) * RATES.size * 2 > quadrature._BLOCK_VALUES
+        adaptive_quadrature(f, 0.0, 1200.0, members=RATES.size, **self.KW)
+        assert len(handed) > 1
+        assert max(handed) <= quadrature._BLOCK_VALUES
+
+
 class TestExtrapolation:
     def test_polynomial_recovery(self):
         xs = [0.4, 0.2, 0.1, 0.05]
@@ -141,3 +229,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(epsilon=0.3, q_max=10.0)
         QuadratureConfig(epsilon=0.3, q_max=100.0)  # fine
+
+    def test_explicit_qmax_must_damp_every_rung(self):
+        q = QuadratureConfig(epsilon=0.3, q_max=100.0)
+        assert q.cutoff(0.3) == 100.0
+        # exp(-0.075 * 100) = 5.5e-4: that rung would be cut undamped
+        with pytest.raises(ValueError, match="too small for epsilon 0.075"):
+            q.cutoff(0.075)

@@ -153,6 +153,18 @@ class TestDistribution:
         d = toa_distribution(state.field(), (5.0, 10.0), 201, K)
         assert d.pi_values.max() > 0.0
 
+    def test_sampled_state_with_both_charge_blocks_refused(self):
+        field = gaussian_state(3.0, -7.0, K).field()
+        mixed = phi_field(field.grid, field.upper, field.upper)
+        with pytest.raises(ValueError, match="both charge blocks"):
+            toa_distribution(mixed, (5.0, 10.0), 201, K)
+
+    def test_gaussian_state_with_other_constants_refused(self):
+        state = gaussian_state(3.0, -7.0, K)
+        toa_distribution(state, (5.0, 10.0), 21, K)  # the state's own constants are fine
+        with pytest.raises(ValueError, match="constants"):
+            toa_distribution(state, (5.0, 10.0), 21, PhysConstants(c=2.0))
+
     def test_default_range_covers_peak(self):
         lo, hi = default_tau_range(3.0, -7.0, K)
         assert lo < 7.0 < 7.44 < hi
