@@ -464,7 +464,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
             raise ValueError("need tau-min < tau-max")
         tau_range = (args.tau_min, args.tau_max)
     dist = toa_distribution(state, tau_range, args.n_tau)
-    t_ph = photon_time(args.x0, k)
+    t_ph = photon_time(args.p0, args.x0, k)
     t_class = None
     if args.p0 != 0.0:
         t_class = classical_references(args.p0, args.x0, k)[0]

@@ -162,19 +162,17 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def momentum_grid(p_min: float, p_max: float, n: int, *, straddle_zero: bool = True) -> np.ndarray:
-    """Uniform grid on [p_min, p_max].
-
-    With ``straddle_zero`` (default) the grid is shifted by half a step
-    whenever a node would land exactly on p = 0, so the sqrt(|p|) cusp
-    is always straddled by a symmetric pair.
+def momentum_grid(p_min: float, p_max: float, n: int) -> np.ndarray:
+    """Uniform grid on [p_min, p_max], shifted by half a step whenever a
+    node would land exactly on p = 0, so the sqrt(|p|) cusp is always
+    straddled by a symmetric pair.
     """
     if n < 2:
         raise ValueError("need at least two grid points")
     if not p_min < p_max:
         raise ValueError("p_min must be below p_max")
     grid = np.linspace(p_min, p_max, n)
-    if straddle_zero and p_min < 0.0 < p_max:
+    if p_min < 0.0 < p_max:
         h = grid[1] - grid[0]
         if np.min(np.abs(grid)) < 1e-12 * h:
             grid = grid + 0.5 * h

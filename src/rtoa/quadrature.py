@@ -61,6 +61,9 @@ _WG = np.array([
 # returns, and the largest per-panel table kept for refinement.
 _BLOCK_VALUES = 2**15
 
+# Width of the leading panel that integrate_sqrt_endpoint maps by q = u^2.
+_FIRST_PANEL = 0.5
+
 # full symmetric 15-node rule on [-1, 1]
 GK_NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
 GK_WEIGHTS = np.concatenate([_WGK[:7], _WGK[::-1]])
@@ -203,7 +206,6 @@ def adaptive_quadrature(
     rel_tol: float = 1e-7,
     max_subdivisions: int = 10_000,
     max_width: float | None = None,
-    breakpoints=None,
     n_out: int = 1,
     members: int | None = None,
     raise_on_failure: bool = True,
@@ -213,8 +215,7 @@ def adaptive_quadrature(
     ``f`` maps a flat array of abscissae to an array of shape
     (npoints,) or (npoints, n_out), or (npoints, members, n_out) when
     ``members`` is given.  ``max_width`` caps the initial panel width
-    (use a half period of the fastest oscillating factor);
-    ``breakpoints`` seeds extra panel boundaries.
+    (use a half period of the fastest oscillating factor).
 
     Members share one panel tree: a panel is bisected when any member
     still over its tolerance asks for it, and a member's total is fixed
@@ -222,19 +223,9 @@ def adaptive_quadrature(
     """
     if not b > a:
         raise ValueError("need b > a")
-    edges = {a, b}
-    if breakpoints is not None:
-        edges.update(float(x) for x in breakpoints if a < x < b)
-    edges = sorted(edges)
-    panels = []
-    for lo, hi in zip(edges, edges[1:]):
-        if max_width is not None and hi - lo > max_width:
-            m = int(np.ceil((hi - lo) / max_width))
-            cuts = np.linspace(lo, hi, m + 1)
-            panels.extend(zip(cuts[:-1], cuts[1:]))
-        else:
-            panels.append((lo, hi))
-    panels = np.asarray(panels, dtype=float)
+    m = 1 if max_width is None or b - a <= max_width else int(np.ceil((b - a) / max_width))
+    cuts = np.linspace(a, b, m + 1)
+    panels = np.stack([cuts[:-1], cuts[1:]], axis=1)
 
     n_members = 1 if members is None else members
     value, error = np.zeros((n_members, n_out)), np.zeros(n_members)
@@ -298,7 +289,6 @@ def integrate_sqrt_endpoint(
     f,
     b: float,
     *,
-    first_panel: float = 0.5,
     max_width: float | None = None,
     abs_tol: float = 1e-9,
     rel_tol: float = 1e-7,
@@ -309,12 +299,12 @@ def integrate_sqrt_endpoint(
 ) -> QuadratureResult:
     """Integrate f over (0, b] where f(q) ~ sqrt(q) * smooth near 0.
 
-    The leading panel [0, first_panel] is computed under q = u^2, which
+    The leading panel [0, _FIRST_PANEL] is computed under q = u^2, which
     maps the sqrt behaviour onto a smooth integrand; the remainder uses
     the plain adaptive rule.  ``f`` and ``members`` are as for
     :func:`adaptive_quadrature`.
     """
-    q1 = min(first_panel, b)
+    q1 = min(_FIRST_PANEL, b)
     shape = (n_out,) if members is None else (members, n_out)
     scale = (-1,) + (1,) * len(shape)  # 2u broadcast over members and outputs
     common = dict(

@@ -148,45 +148,29 @@ def fornberg_weights(x0: float, xs: np.ndarray, order: int) -> np.ndarray:
     return w[order]
 
 
-def differentiate(grid: np.ndarray, values: np.ndarray, *, accuracy: int = 4) -> np.ndarray:
+def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """First derivative of sampled values on an arbitrary increasing
-    grid, via local (accuracy+1)-point stencils."""
+    grid, via local 5-point (fourth-order) stencils."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
     n = grid.size
-    width = accuracy + 1
-    if n < width:
-        raise ValueError(f"need at least {width} samples for accuracy {accuracy}")
-    half = width // 2
+    if n < 5:
+        raise ValueError("need at least 5 samples")
     out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
-    uniform = np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0)
-    if uniform and width == 5:
+    if np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0):
         h = grid[1] - grid[0]
         # 4th-order centered stencil in the interior
         out[2:-2] = (
             values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
         ) / (12.0 * h)
-        for i in (0, 1, n - 2, n - 1):
-            lo = min(max(i - half, 0), n - width)
-            w = fornberg_weights(grid[i], grid[lo : lo + width], 1)
-            out[i] = w @ values[lo : lo + width]
-        return out
-    for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        w = fornberg_weights(grid[i], grid[lo : lo + width], 1)
-        out[i] = w @ values[lo : lo + width]
+        nodes = (0, 1, n - 2, n - 1)
+    else:
+        nodes = range(n)
+    for i in nodes:
+        lo = min(max(i - 2, 0), n - 5)
+        w = fornberg_weights(grid[i], grid[lo : lo + 5], 1)
+        out[i] = w @ values[lo : lo + 5]
     return out
-
-
-def differentiate_spectral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """FFT derivative on a uniform grid (treats the window as one
-    period; appropriate for fields decaying at the edges)."""
-    grid = np.asarray(grid, dtype=float)
-    h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=1e-12, atol=0.0):
-        raise ValueError("spectral differentiation needs a uniform grid")
-    freq = 2.0j * np.pi * np.fft.fftfreq(grid.size, d=h)
-    return np.fft.ifft(freq * np.fft.fft(np.asarray(values, dtype=complex)))
 
 
 def even_toa_coefficients(p, k: PhysConstants = PhysConstants()):
@@ -201,46 +185,37 @@ def even_toa_coefficients(p, k: PhysConstants = PhysConstants()):
     return first, second
 
 
-def apply_even_toa(
-    f: SpinorField,
-    k: PhysConstants = PhysConstants(),
-    *,
-    scheme: str = "fd4",
-    exclusion_radius: float = 0.0,
-    vanish_tol: float = 1e-12,
-) -> SpinorField:
+# Largest |field| at p = 0, relative to the field's peak, that the 1/p
+# and 1/p^2 terms accept as vanishing.
+VANISH_TOL = 1e-12
+
+
+def apply_even_toa(f: SpinorField, k: PhysConstants = PhysConstants()) -> SpinorField:
     """Apply the one-particle arrival-time operator to a sampled field.
 
-    The operator involves 1/p and 1/p^2; any node inside
-    ``exclusion_radius`` of p = 0 (or exactly at 0) is only allowed if
-    the field there is negligible, in which case the output is forced
-    to zero on those nodes.
+    The operator involves 1/p and 1/p^2; a node exactly at p = 0 is only
+    allowed if the field there is negligible (VANISH_TOL of its peak),
+    in which case the output is forced to zero on that node.
     """
     if f.representation is not Representation.FESHBACH_VILLARS_PHI or f.basis is not Basis.MOMENTUM:
         raise ValueError("operator acts on momentum-space fields in the diagonal representation")
     p = f.grid
-    near_zero = np.abs(p) <= max(exclusion_radius, 0.0)
+    near_zero = p == 0.0
     if near_zero.any():
         scale = max(np.max(np.abs(f.upper)), np.max(np.abs(f.lower)), 1e-300)
         if (
-            np.max(np.abs(f.upper[near_zero])) > vanish_tol * scale
-            or np.max(np.abs(f.lower[near_zero])) > vanish_tol * scale
+            np.max(np.abs(f.upper[near_zero])) > VANISH_TOL * scale
+            or np.max(np.abs(f.lower[near_zero])) > VANISH_TOL * scale
         ):
             raise SingularPointError(
                 "grid reaches p = 0 where the field does not vanish"
             )
-    if scheme == "fd4":
-        d = lambda v: differentiate(p, v, accuracy=4)
-    elif scheme == "spectral":
-        d = lambda v: differentiate_spectral(p, v)
-    else:
-        raise ValueError(f"unknown differentiation scheme {scheme!r}")
     first, second = even_toa_coefficients(p, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_p = np.where(near_zero, 0.0, 1.0 / np.where(near_zero, 1.0, p))
 
     def block(phi):
-        dphi = d(phi)
+        dphi = differentiate(p, phi)
         val = first * (2.0 * p * dphi + phi) + second * (
             2.0 * inv_p * dphi - inv_p**2 * phi
         )
@@ -340,7 +315,6 @@ def completeness_check(
     tau_step: float,
     k: PhysConstants = PhysConstants(),
     t: float = 0.0,
-    chunk: int = 1024,
 ) -> float:
     """Resolution-of-identity error of the truncated eigenfunction
     family.
@@ -349,42 +323,54 @@ def completeness_check(
     [-tau_window, tau_window] (step ``tau_step``), resums, and returns
     the relative L2 reconstruction error.  The error decreases as the
     window grows and the step shrinks.
+
+    The trapezoid sum over the n tau samples, step h = 2T / (n - 1), is
+    done in closed form: with omega = (E_p - E_p') / hbar,
+
+        sum_j w_j exp(i lambda omega tau_j) = h sin(omega T) cot(omega h / 2)
+
+    (2T where E_p = E_p', which p and -p always share), one real kernel
+    for both charge blocks.  The time ``t`` enters as the phase
+    exp(-i lambda E_p t / hbar) on each side, and the two parity branches
+    add to the factor 1 + sgn(p) sgn(p'), applied as two mat-vecs.
     """
     if tau_window <= 0.0 or tau_step <= 0.0:
         raise ValueError("tau window and step must be positive")
     grid = test_fn.grid
     wp = trapezoid_weights(grid)
     n_tau = int(round(2.0 * tau_window / tau_step)) + 1
-    taus = np.linspace(-tau_window, tau_window, n_tau)
-    wt = trapezoid_weights(taus)
+    h = 2.0 * tau_window / (n_tau - 1)
     e = energy(grid, k)
     mod = eigen_amplitude_modulus(grid, e, k)
     sgn = np.sign(grid)
 
-    recon_upper = np.zeros_like(grid, dtype=complex)
-    recon_lower = np.zeros_like(grid, dtype=complex)
+    kernel = np.subtract.outer(e, e)  # omega, then the tau sum, in place
+    kernel /= k.hbar
+    same = kernel == 0.0
+    half = kernel * (0.5 * h)
+    np.tan(half, out=half)
+    kernel *= tau_window
+    np.sin(kernel, out=kernel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel /= half
+    del half
+    kernel *= h
+    kernel[same] = 2.0 * tau_window
+
+    recon = []
     for lam, component in ((1, test_fn.upper), (-1, test_fn.lower)):
         if not np.any(component):
+            recon.append(np.zeros_like(component))
             continue
-        for parity_factor in (1.0, sgn):
-            base = mod * parity_factor
-            rec = np.zeros_like(grid, dtype=complex)
-            for start in range(0, n_tau, chunk):
-                ts = taus[start : start + chunk]
-                phases = np.exp(
-                    (-1j * lam / k.hbar) * np.outer(e, t - ts)
-                )  # (n_p, n_tau_chunk)
-                basis = base[:, None] * phases
-                coeffs = basis.conj().T @ (wp * component)
-                rec += basis @ (wt[start : start + chunk] * coeffs)
-            if lam == 1:
-                recon_upper += rec
-            else:
-                recon_lower += rec
+        phase = np.exp((-1j * lam * t / k.hbar) * e)
+        v = np.conj(phase) * wp * mod * component
+        cols = np.stack([v, sgn * v], axis=1)
+        out = kernel @ cols.real + 1j * (kernel @ cols.imag)
+        recon.append(phase * mod * (out[:, 0] + sgn * out[:, 1]))
 
     num = np.sqrt(
-        np.sum(wp * np.abs(recon_upper - test_fn.upper) ** 2)
-        + np.sum(wp * np.abs(recon_lower - test_fn.lower) ** 2)
+        np.sum(wp * np.abs(recon[0] - test_fn.upper) ** 2)
+        + np.sum(wp * np.abs(recon[1] - test_fn.lower) ** 2)
     )
     den = np.sqrt(
         np.sum(wp * np.abs(test_fn.upper) ** 2) + np.sum(wp * np.abs(test_fn.lower) ** 2)

@@ -35,7 +35,7 @@ from .errors import (
     RangeBoundaryError,
     StateTruncationError,
 )
-from .spectral import EigenSpec, Parity, eigen_amplitude_modulus, eigenfunction_scalar
+from .spectral import Parity, eigen_amplitude_modulus
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
@@ -70,16 +70,12 @@ class GaussianState:
             -2.0 * (p - self.p0) / mc**2 - 1j * self.x0 / self.k.hbar
         )
 
-    def default_grid(
-        self,
-        n: int = DEFAULT_GRID_POINTS,
-        half_width_sigmas: float = DEFAULT_HALF_WIDTH_SIGMAS,
-    ) -> np.ndarray:
+    def default_grid(self) -> np.ndarray:
         """Uniform grid centered on p0, wide enough that the packet has
         decayed below 1e-12 in probability at the edges; shifted half a
         step if p = 0 would land exactly on a node."""
-        half = half_width_sigmas * 0.5 * self.k.momentum_scale
-        return momentum_grid(self.p0 - half, self.p0 + half, n)
+        half = DEFAULT_HALF_WIDTH_SIGMAS * 0.5 * self.k.momentum_scale
+        return momentum_grid(self.p0 - half, self.p0 + half, DEFAULT_GRID_POINTS)
 
     def field(self, grid=None) -> SpinorField:
         grid = self.default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -132,6 +128,33 @@ def _check_edge_decay(grid: np.ndarray, amp: np.ndarray) -> None:
         )
 
 
+# tau samples per phase-matrix block of the amplitude sum
+_TAU_CHUNK = 256
+
+
+def _branch_amplitudes(
+    field: SpinorField, lam: ChargeSign, taus: np.ndarray, k: PhysConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps <state, eigenfunction(lam, branch, tau)> for every tau,
+    as (nonnodal, nodal) arrays: the trapezoid sum over the momentum grid
+    of the block ``lam``, which must hold the state's amplitude."""
+    grid = field.grid
+    amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
+    _check_edge_decay(grid, amp)
+    w = trapezoid_weights(grid)
+    e = energy(grid, k)
+    base = w * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
+    base_nodal = base * np.sign(grid)
+    nonnodal = np.empty(taus.size, dtype=complex)
+    nodal = np.empty(taus.size, dtype=complex)
+    for start in range(0, taus.size, _TAU_CHUNK):
+        ts = taus[start : start + _TAU_CHUNK]
+        phases = np.exp((1j * int(lam) / k.hbar) * np.outer(ts, e))
+        nonnodal[start : start + ts.size] = phases @ base
+        nodal[start : start + ts.size] = phases @ base_nodal
+    return nonnodal, nodal
+
+
 def toa_overlap(
     state: SpinorField,
     branch: Parity,
@@ -147,13 +170,10 @@ def toa_overlap(
     decay at the grid edges makes the integral convergent without any
     regulator.
     """
-    amp = state.upper if lam is ChargeSign.POSITIVE else state.lower
-    if not np.any(amp):
+    if not np.any(state.upper if lam is ChargeSign.POSITIVE else state.lower):
         return 0.0 + 0.0j
-    _check_edge_decay(state.grid, amp)
-    eig = eigenfunction_scalar(EigenSpec(lam, branch, tau), 0.0, state.grid, k)
-    w = trapezoid_weights(state.grid)
-    return complex(np.sum(w * np.conj(amp) * eig))
+    nonnodal, nodal = _branch_amplitudes(state, lam, np.array([float(tau)]), k)
+    return complex((nodal if branch.is_nodal else nonnodal)[0])
 
 
 @dataclass(frozen=True)
@@ -187,7 +207,6 @@ def toa_distribution(
     tau_range: tuple[float, float] | None = None,
     n_tau: int = 2001,
     k: PhysConstants | None = None,
-    chunk: int = 256,
 ) -> ToaDistribution:
     """Evaluate both branch overlaps on a tau grid.
 
@@ -222,22 +241,7 @@ def toa_distribution(
         tau_range = default_tau_range(p0, x0, kk)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
 
-    grid = field.grid
-    amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
-    _check_edge_decay(grid, amp)
-    w = trapezoid_weights(grid)
-    e = energy(grid, kk)
-    base = w * np.conj(amp) * eigen_amplitude_modulus(grid, e, kk)
-    base_nodal = base * np.sign(grid)
-    lam_i = int(lam)
-
-    nonnodal = np.empty(n_tau)
-    nodal = np.empty(n_tau)
-    for start in range(0, n_tau, chunk):
-        ts = taus[start : start + chunk]
-        phases = np.exp((1j * lam_i / kk.hbar) * np.outer(ts, e))
-        nonnodal[start : start + len(ts)] = np.abs(phases @ base) ** 2
-        nodal[start : start + len(ts)] = np.abs(phases @ base_nodal) ** 2
+    nonnodal, nodal = (np.abs(a) ** 2 for a in _branch_amplitudes(field, lam, taus, kk))
     return ToaDistribution(
         taus, nonnodal + nodal, nonnodal, nodal, p0, x0, kk
     )
@@ -246,7 +250,7 @@ def toa_distribution(
 def default_tau_range(
     p0: float, x0: float, k: PhysConstants = PhysConstants()
 ) -> tuple[float, float]:
-    t_ph = photon_time(x0, k)
+    t_ph = photon_time(p0, x0, k)
     if abs(p0) < 0.25 * k.momentum_scale:
         span = 10.0 * max(abs(t_ph), 1.0) + 10.0
         return (-span, span)
@@ -256,9 +260,14 @@ def default_tau_range(
     return (min(lo, hi), max(lo, hi))
 
 
-def photon_time(x0: float, k: PhysConstants = PhysConstants()) -> float:
-    """Arrival time at the origin for a photon launched from x0."""
-    return -x0 / k.c
+def photon_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> float:
+    """Arrival time at the origin for a photon launched from x0 in the
+    direction of p0: -x0 sgn(p0) / c, the |p0| -> infinity limit of
+    :func:`classical_time`.  At p0 = 0 either direction reaches the
+    origin, at |x0| / c."""
+    if p0 == 0.0:
+        return abs(x0) / k.c
+    return -x0 * math.copysign(1.0, p0) / k.c
 
 
 def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> float:
@@ -266,7 +275,7 @@ def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> 
     if p0 == 0.0:
         raise ClassicalTimeUndefinedError(
             "classical arrival time is undefined at p0 = 0",
-            t_ph=photon_time(x0, k),
+            t_ph=photon_time(p0, x0, k),
         )
     return -x0 * math.sqrt(p0**2 + (k.momentum_scale) ** 2) / (p0 * k.c)
 
@@ -276,7 +285,7 @@ def classical_references(
 ) -> tuple[float, float]:
     """(t_class, t_ph) reference arrival times for mean momentum p0 and
     mean position x0."""
-    return classical_time(p0, x0, k), photon_time(x0, k)
+    return classical_time(p0, x0, k), photon_time(p0, x0, k)
 
 
 def most_probable_tau(d: ToaDistribution) -> float:

@@ -1,7 +1,20 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rtoa.core import Basis, Representation, SpinorField
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run is reproducible.  Hypothesis still caches the literals
+# it reads from the source; that cache goes to a directory removed at exit,
+# so a run leaves no .hypothesis/ behind.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="rtoa-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def bump(p, lo, hi):

@@ -135,6 +135,23 @@ class TestToaDist:
         assert "config" in payload
         assert len(payload["pi_total"]) == 101
 
+    def test_mirror_state_reports_the_same_times_and_window(self, tmp_path, capsys):
+        payloads = []
+        for p0, x0 in (("3", "-7"), ("-3", "7")):
+            out = tmp_path / f"dist{p0}.json"
+            code, _, _ = run(
+                capsys,
+                "--out", str(out), "--format", "json",
+                "toa-dist", "--p0", p0, "--x0", x0, "--n-tau", "101",
+            )
+            assert code == 0
+            payloads.append(json.loads(out.read_text()))
+        a, b = payloads
+        assert b["t_ph"] == a["t_ph"] == 7.0
+        assert b["t_class"] == a["t_class"]
+        assert b["grid"] == a["grid"]
+        assert np.allclose(b["pi_total"], a["pi_total"], rtol=0.0, atol=1e-8 * max(a["pi_total"]))
+
     def test_csv_and_photon_marker_script(self, tmp_path, capsys):
         out = tmp_path / "dist.csv"
         code, _, _ = run(

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtoa.core import ChargeSign, PhysConstants, inner_product_phi
+from rtoa.core import ChargeSign, PhysConstants, energy, inner_product_phi, trapezoid_weights
 from rtoa.errors import DivergentOverlapError, SingularPointError
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import (
@@ -16,7 +17,7 @@ from rtoa.spectral import (
     apply_hamiltonian,
     completeness_check,
     differentiate,
-    differentiate_spectral,
+    eigen_amplitude_modulus,
     eigenfunction_field,
     eigenfunction_momentum,
     eigenfunction_scalar,
@@ -92,15 +93,6 @@ class TestDifferentiate:
         d = differentiate(grid, grid**4)
         assert np.allclose(d, 4.0 * grid**3, atol=1e-9)
 
-    def test_spectral_on_periodic(self):
-        grid = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        d = differentiate_spectral(grid, np.exp(2j * grid))
-        assert np.allclose(d, 2j * np.exp(2j * grid), atol=1e-10)
-
-    def test_spectral_requires_uniform(self):
-        with pytest.raises(ValueError):
-            differentiate_spectral(np.array([0.0, 0.1, 0.3]), np.zeros(3))
-
 
 class TestEvenOperator:
     def test_zero_in_zero_out(self):
@@ -155,18 +147,9 @@ class TestEvenOperator:
         grid = np.linspace(-1.0, 1.0, 101)
         amp = bump(grid, 0.3, 0.9)
         f = phi_field(grid, amp)
-        out = apply_even_toa(f, K, exclusion_radius=0.05)
+        out = apply_even_toa(f, K)  # p = 0 is a node, where the field vanishes
         assert np.all(np.isfinite(out.upper))
         assert np.all(out.upper[np.abs(grid) <= 0.05] == 0.0)
-
-    def test_spectral_scheme_agrees(self):
-        grid = np.linspace(0.25, 5.25, 2048)
-        amp = bump(grid, 0.5, 5.0) * np.exp(1.5j * grid)
-        f = phi_field(grid, amp)
-        a = apply_even_toa(f, K, scheme="fd4")
-        b = apply_even_toa(f, K, scheme="spectral")
-        inner = slice(16, -16)
-        assert np.allclose(a.upper[inner], b.upper[inner], atol=1e-7)
 
     def test_commutator_with_hamiltonian(self):
         grid = np.linspace(0.4, 5.1, 4097)
@@ -258,7 +241,56 @@ class TestOverlap:
         assert abs(num - ana) / abs(ana) < 1e-3
 
 
+def completeness_by_tau_sum(f, tau_window, tau_step, k, t=0.0):
+    """Reference for completeness_check: project onto every eigenfunction
+    on the trapezoid tau grid and resum, term by term."""
+    grid = f.grid
+    wp = trapezoid_weights(grid)
+    taus = np.linspace(-tau_window, tau_window, int(round(2.0 * tau_window / tau_step)) + 1)
+    wt = trapezoid_weights(taus)
+    e = energy(grid, k)
+    mod = eigen_amplitude_modulus(grid, e, k)
+    num = den = 0.0
+    for lam, component in ((1, f.upper), (-1, f.lower)):
+        rec = np.zeros(grid.size, dtype=complex)
+        for parity_factor in (1.0, np.sign(grid)):
+            basis = (mod * parity_factor)[:, None] * np.exp(
+                (-1j * lam / k.hbar) * np.outer(e, t - taus)
+            )
+            rec += basis @ (wt * (basis.conj().T @ (wp * component)))
+        num += np.sum(wp * np.abs(rec - component) ** 2)
+        den += np.sum(wp * np.abs(component) ** 2)
+    return math.sqrt(num / den)
+
+
 class TestCompleteness:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        tau_window=st.floats(2.0, 12.0),
+        tau_step=st.floats(0.04, 0.4),
+        t=st.floats(-2.0, 2.0),
+        p0=st.floats(-2.0, 3.0),
+        blocks=st.sampled_from(["upper", "lower", "both"]),
+        symmetric=st.booleans(),
+        k=st.sampled_from([K, PhysConstants(hbar=0.7, c=1.3, m0=0.9)]),
+    )
+    def test_closed_form_matches_tau_sum(self, tau_window, tau_step, t, p0, blocks, symmetric, k):
+        if symmetric:
+            # p and -p on the grid: off-diagonal E_p = E_p' pairs
+            half = np.linspace(0.01, 6.0, 128)
+            grid = np.concatenate([-half[::-1], half])
+            e = energy(grid, k)
+            assert np.count_nonzero(np.equal.outer(e, e)) == 2 * grid.size
+        else:
+            grid = np.linspace(p0 - 4.0, p0 + 4.0, 257)
+        amp = np.exp(-((grid - p0) ** 2) + 1.5j * grid)
+        upper = amp if blocks != "lower" else 0.0 * amp
+        lower = 0.5 * amp.conj() * grid if blocks != "upper" else 0.0 * amp
+        f = phi_field(grid, upper, lower)
+        got = completeness_check(f, tau_window, tau_step, k, t=t)
+        want = completeness_by_tau_sum(f, tau_window, tau_step, k, t)
+        assert got == pytest.approx(want, rel=1e-11)
+
     def test_error_small_and_decreasing(self):
         f = gaussian_state(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 2049))
         e1 = completeness_check(f, 25.0, 0.1, K)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtoa.core import ChargeSign, PhysConstants
+from rtoa.core import ChargeSign, PhysConstants, energy
 from rtoa.errors import (
     ClassicalTimeUndefinedError,
     RangeBoundaryError,
@@ -104,6 +105,19 @@ class TestReferences:
             classical_references(0.0, -7.0, K)
         assert exc.value.t_ph == 7.0
 
+    def test_photon_follows_direction_of_motion(self):
+        t_cl, t_ph = classical_references(-3.0, 7.0, K)
+        assert t_cl == pytest.approx(7.3786478737262184413, abs=1e-12)
+        assert t_ph == 7.0
+
+    @pytest.mark.parametrize("p0", [1e8, -1e8])
+    @pytest.mark.parametrize("x0", [-7.0, 7.0])
+    def test_photon_time_is_ultrarelativistic_limit(self, p0, x0):
+        assert classical_time(p0, x0, K) == pytest.approx(photon_time(p0, x0, K), rel=1e-12)
+
+    def test_photon_time_at_rest_is_the_distance(self):
+        assert photon_time(0.0, 7.0, K) == photon_time(0.0, -7.0, K) == 7.0
+
     def test_constants_enter(self):
         k = PhysConstants(hbar=1.0, c=2.0, m0=0.5)
         t_cl, t_ph = classical_references(1.0, -6.0, k)
@@ -131,7 +145,7 @@ class TestDistribution:
 
     def test_most_probable_above_photon_time(self):
         d = toa_distribution(gaussian_state(3.0, -7.0, K), n_tau=801)
-        assert most_probable_tau(d) > photon_time(-7.0, K)
+        assert most_probable_tau(d) > photon_time(3.0, -7.0, K)
 
     def test_symmetric_state_symmetric_distribution(self):
         d = toa_distribution(gaussian_state(0.0, 0.0, K), (-8.0, 8.0), 321)
@@ -168,6 +182,71 @@ class TestDistribution:
     def test_default_range_covers_peak(self):
         lo, hi = default_tau_range(3.0, -7.0, K)
         assert lo < 7.0 < 7.44 < hi
+
+
+def _on_block(field, lam):
+    """The field's upper-block amplitude, placed on block ``lam``."""
+    zeros = np.zeros_like(field.upper)
+    up, lo = (field.upper, zeros) if lam is ChargeSign.POSITIVE else (zeros, field.upper)
+    return phi_field(field.grid, up, lo)
+
+
+def _close(a, b, rel):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+momenta = st.floats(0.3, 4.0) | st.floats(-4.0, -0.3)
+positions = st.floats(-8.0, 8.0)
+
+
+class TestDistributionSymmetries:
+    @settings(max_examples=10, deadline=None)
+    @given(p0=momenta, x0=positions, t=st.floats(-3.0, 3.0), lam=st.sampled_from(ChargeSign))
+    def test_time_translation_shifts_pi(self, p0, x0, t, lam):
+        # evolving by t (exp(-i lam E_p t / hbar) on block lam) moves every
+        # arrival t earlier: Pi_t(tau - t) = Pi_0(tau)
+        f = _on_block(GaussianState(p0, x0, K).field(), lam)
+        phase = np.exp(-1j * int(lam) * energy(f.grid, K) * t / K.hbar)
+        evolved = f.with_components(f.upper * phase, f.lower * phase)
+        lo, hi = default_tau_range(p0, x0, K)
+        d0 = toa_distribution(f, (lo, hi), 201, K)
+        dt = toa_distribution(evolved, (lo - t, hi - t), 201, K)
+        assert _close(dt.pi_values, d0.pi_values, 1e-10)
+
+    @settings(max_examples=10, deadline=None)
+    @given(p0=momenta | st.just(0.0), x0=positions)
+    def test_mirror_state_has_the_same_distribution(self, p0, x0):
+        a, b = GaussianState(p0, x0, K), GaussianState(-p0, -x0, K)
+        assert photon_time(p0, x0, K) == photon_time(-p0, -x0, K)
+        if p0 != 0.0:
+            assert classical_time(p0, x0, K) == classical_time(-p0, -x0, K)
+        window = default_tau_range(p0, x0, K)
+        assert window == default_tau_range(-p0, -x0, K)
+        # on mirrored momentum grids the two amplitudes are the same samples
+        grid = a.default_grid()
+        da = toa_distribution(a.field(grid), window, 201, K)
+        db = toa_distribution(b.field(-grid[::-1]), window, 201, K)
+        assert _close(db.pi_values, da.pi_values, 1e-12)
+        # each on its own default grid, which straddles p = 0 the same way
+        # for both, so the sqrt(|p|) cusp is sampled differently
+        da, db = toa_distribution(a, n_tau=201), toa_distribution(b, n_tau=201)
+        assert np.array_equal(da.tau_samples, db.tau_samples)
+        assert _close(db.pi_values, da.pi_values, 1e-8)
+
+    @settings(max_examples=10, deadline=None)
+    @given(p0=momenta, x0=positions)
+    def test_charge_independence(self, p0, x0):
+        # the lower block evolves with the opposite phase, so the same
+        # packet has the complex-conjugate amplitude there
+        f = GaussianState(p0, x0, K).field()
+        conjugate = phi_field(f.grid, np.zeros_like(f.upper), f.upper.conj())
+        window = (-30.0, 30.0)
+        upper = toa_distribution(f, window, 201, K)
+        lower = toa_distribution(conjugate, window, 201, K)
+        assert _close(lower.pi_values, upper.pi_values, 1e-12)
+        # the unconjugated amplitude arrives time-reversed
+        same = toa_distribution(_on_block(f, ChargeSign.NEGATIVE), window, 201, K)
+        assert _close(same.pi_values, upper.pi_values[::-1], 1e-12)
 
 
 class TestParabolicRefinement:
