@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import PhysConstants
 from .errors import WindowInfeasibleError
@@ -239,13 +239,6 @@ class BDOperator:
                 if coeff:
                     clean[(int(m), int(n))] = coeff
         self.terms = clean
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[BDTerm]) -> "BDOperator":
-        op = cls()
-        for t in terms:
-            op = op.add_term(t.m, t.n, t.coeff)
-        return op
 
     @classmethod
     def zero(cls) -> "BDOperator":

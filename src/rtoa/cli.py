@@ -55,15 +55,6 @@ from .toa import (
     toa_distribution,
 )
 
-CONFIG_DEFAULTS = {
-    **asdict(PhysConstants()),
-    **asdict(QuadratureConfig()),
-    "out": None,
-    "format": "csv",
-    "emit_plot_script": False,
-}
-
-
 @dataclass
 class RunConfig:
     constants: PhysConstants
@@ -81,6 +72,9 @@ class RunConfig:
             "format": self.format,
             "emit_plot_script": self.emit_plot_script,
         }
+
+
+CONFIG_DEFAULTS = RunConfig(PhysConstants(), QuadratureConfig(), None, "csv", False).snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,9 +232,10 @@ def cmd_verify_algebra(cfg: RunConfig, args) -> int:
     return 0 if ok else 2
 
 
-def _bump_states(grid: np.ndarray, count: int = 5) -> list[SpinorField]:
-    """Fixed family of smooth compactly-supported two-component states
-    (deterministic, no RNG)."""
+def _bump_states(n: int, count: int) -> list[SpinorField]:
+    """Fixed family of smooth compactly-supported two-component states on
+    linspace(0.4, 5.1, n) (deterministic, no RNG)."""
+    grid = np.linspace(0.4, 5.1, n)
     lo, hi = grid[0] + 0.05, grid[-1] - 0.05
     u = (2.0 * grid - (lo + hi)) / (hi - lo)
     bump = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.clip(1.0 - u * u, 1e-300, None)), 0.0)
@@ -265,112 +260,191 @@ def _residual_norm(f: SpinorField, g: SpinorField, inner=slice(2, -2)) -> float:
     return num / den
 
 
-def spectral_report(cfg: RunConfig, full: bool = False) -> dict:
-    k = cfg.constants
-    report: dict = {"checks": {}}
+def _order(coarse: float, fine: float) -> float:
+    return math.log2(coarse / fine) if fine > 0 else float("inf")
 
-    def eig_residual(n: int) -> float:
-        worst = 0.0
+
+def _decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+# One check per operator identity of the acceptance contract (criteria 2-6
+# and 10 of tests/test_acceptance.py).  Each returns the dict that
+# `verify-spectral` or `limits` prints, and its "pass" is the contract's
+# rule.  They call rtoa routines through this module's names, which
+# perfbench/tracing.py wraps.
+
+
+def check_eigenrelation(k: PhysConstants) -> dict:
+    """Criterion 3: T f = tau f for the positive-charge eigenfunctions of
+    both parities at tau = 0.5, 1, 2 on linspace(0.5, 5, n), as the worst
+    interior residual relative to tau f.  At 4097 points the residual sits
+    at the roundoff floor, so the refinement order is taken from 513 to
+    1025 points, where truncation still dominates."""
+
+    def worst(n: int) -> float:
         grid = np.linspace(0.5, 5.0, n)
+        residuals = []
         for parity in (Parity.NONNODAL, Parity.NODAL):
             for tau in (0.5, 1.0, 2.0):
                 f = eigenfunction_field(EigenSpec(ChargeSign.POSITIVE, parity, tau), 0.0, grid, k)
-                Tf = apply_even_toa(f, k)
                 target = f.with_components(tau * f.upper, tau * f.lower)
-                worst = max(worst, _residual_norm(Tf, target))
-        return worst
+                residuals.append(_residual_norm(apply_even_toa(f, k), target))
+        return max(residuals)
 
-    r_coarse, r_fine, r_4097 = eig_residual(513), eig_residual(1025), eig_residual(4097)
-    report["checks"]["eigenrelation"] = {
-        "residual_513": r_coarse,
-        "residual_1025": r_fine,
-        "order": math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf"),
-        "residual_4097": r_4097,
-        "pass": r_4097 < 1e-4,
-    }
+    r = {f"residual_{n}": worst(n) for n in (513, 1025, 4097)}
+    r["order"] = _order(r["residual_513"], r["residual_1025"])
+    r["pass"] = r["residual_4097"] < 1e-4 and r["order"] >= 3.0
+    return r
 
-    def conjugacy_residual(n: int) -> float:
-        grid = np.linspace(0.4, 5.1, n)
-        worst = 0.0
-        for f in _bump_states(grid, 3):
+
+def check_conjugacy(k: PhysConstants, states) -> dict:
+    """Criterion 2: [H, T] f = i hbar f for each state of ``states(n)`` at
+    n = 4097 and 8193, as the worst interior residual relative to
+    i hbar f, and the refinement order between the two grids."""
+
+    def worst(n: int) -> float:
+        residuals = []
+        for f in states(n):
             HT = apply_hamiltonian(apply_even_toa(f, k), k)
             TH = apply_even_toa(apply_hamiltonian(f, k), k)
             comm = f.with_components(HT.upper - TH.upper, HT.lower - TH.lower)
             target = f.with_components(1j * k.hbar * f.upper, 1j * k.hbar * f.lower)
-            worst = max(worst, _residual_norm(comm, target))
-        return worst
+            residuals.append(_residual_norm(comm, target))
+        return max(residuals)
 
-    c1, c2 = conjugacy_residual(4097), conjugacy_residual(8193)
-    report["checks"]["conjugacy"] = {
-        "residual_4097": c1,
-        "residual_8193": c2,
-        "order": math.log2(c1 / c2) if c2 > 0 else float("inf"),
-        "pass": c1 < 1e-4 and (c2 == 0 or math.log2(c1 / c2) >= 3.0),
-    }
+    r = {f"residual_{n}": worst(n) for n in (4097, 8193)}
+    r["order"] = _order(r["residual_4097"], r["residual_8193"])
+    r["pass"] = r["residual_4097"] < 1e-4 and r["order"] >= 3.0
+    return r
 
-    def symmetry_imag(n: int) -> float:
-        grid = np.linspace(0.4, 5.1, n)
-        worst = 0.0
-        for f in _bump_states(grid, 5):
+
+def check_symmetry(k: PhysConstants, states) -> dict:
+    """Criterion 4: <f, T f> is real for each state of ``states(n)``, as
+    the worst |Im| / |.| at n = 2049 and, refined, at n = 4097 (called in
+    that order)."""
+
+    def worst(n: int) -> float:
+        fractions = []
+        for f in states(n):
             v = inner_product_phi(f, apply_even_toa(f, k))
-            worst = max(worst, abs(v.imag) / abs(v))
-        return worst
+            fractions.append(abs(v.imag) / abs(v))
+        return max(fractions)
 
-    s2 = symmetry_imag(4097)
-    report["checks"]["symmetry"] = {
-        "imag_fraction_2049": symmetry_imag(2049),
-        "imag_fraction_4097": s2,
-        "pass": s2 < 1e-6,
-    }
+    r = {f"imag_fraction_{n}": worst(n) for n in (2049, 4097)}
+    r["pass"] = r["imag_fraction_4097"] < 1e-6
+    return r
 
-    worst_rel = 0.0
+
+def check_overlap(k: PhysConstants) -> dict:
+    """Criterion 5: the closed-form smooth part of <tau|0> against the
+    damped momentum integral, for both charges and both parities at
+    tau = 0.5, 1, 2, 5, and the exact zeros between charge sectors and
+    between parities."""
+    errors = []
     for lam in (ChargeSign.POSITIVE, ChargeSign.NEGATIVE):
         for dt in (0.5, 1.0, 2.0, 5.0):
-            s1 = EigenSpec(lam, Parity.NONNODAL, dt)
-            s2_ = EigenSpec(lam, Parity.NONNODAL, 0.0)
-            ana = overlap(s1, s2_, k).regular_part
-            num = overlap_numeric(s1, s2_, k)
-            worst_rel = max(worst_rel, abs(num - ana) / abs(ana))
-    cross = overlap(
-        EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0),
-        EigenSpec(ChargeSign.NEGATIVE, Parity.NONNODAL, 0.0),
-        k,
+            for parity in (Parity.NONNODAL, Parity.NODAL):
+                s1, s2 = EigenSpec(lam, parity, dt), EigenSpec(lam, parity, 0.0)
+                ana = overlap(s1, s2, k).regular_part
+                errors.append(abs(overlap_numeric(s1, s2, k) - ana) / abs(ana))
+    worst = max(errors)
+    one = EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0)
+    other_charge = EigenSpec(ChargeSign.NEGATIVE, Parity.NONNODAL, 0.0)
+    cross = overlap(one, other_charge, k)
+    parity_cross = overlap(one, EigenSpec(ChargeSign.POSITIVE, Parity.NODAL, 0.0), k)
+    cross_charge_zero = (
+        cross.distributional_part == 0.0 == cross.regular_part
+        and overlap_numeric(one, other_charge, k) == 0.0
     )
-    parity_cross = overlap(
-        EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0),
-        EigenSpec(ChargeSign.POSITIVE, Parity.NODAL, 0.0),
-        k,
-    )
-    report["checks"]["overlap"] = {
-        "worst_rel_error": worst_rel,
-        "cross_charge_zero": cross.distributional_part == 0.0 and cross.regular_part == 0.0,
-        "cross_parity_zero": parity_cross.distributional_part == 0.0
-        and parity_cross.regular_part == 0.0,
-        "pass": worst_rel < 1e-3,
+    cross_parity_zero = parity_cross.distributional_part == 0.0 == parity_cross.regular_part
+    return {
+        "worst_rel_error": worst,
+        "cross_charge_zero": cross_charge_zero,
+        "cross_parity_zero": cross_parity_zero,
+        "pass": worst < 1e-3 and cross_charge_zero and cross_parity_zero,
     }
 
-    ladder = [(25.0, 0.1)] + ([(50.0, 0.05), (100.0, 0.025)] if full else [])
+
+def check_completeness(k: PhysConstants, ladder) -> dict:
+    """Criterion 6: the tau family resolves the identity on the Gaussian
+    packet p0 = 3, x0 = 0, sampled on 2049 points over p0 +- 5 m0 c.  The
+    error for each (T, dtau) of ``ladder`` must fall, and the last must be
+    below 1e-2."""
     state = gaussian_state(3.0, 0.0, k)
     f = state.field(np.linspace(3.0 - 5.0 * k.momentum_scale, 3.0 + 5.0 * k.momentum_scale, 2049))
     errs = [completeness_check(f, T, dt, k) for T, dt in ladder]
-    comp = {
+    return {
         "settings": ladder,
         "errors": errs,
-        "pass": errs[-1] < 1e-2 and all(a > b for a, b in zip(errs, errs[1:])),
-    }
-    report["checks"]["completeness"] = comp
-
-    devs = nonrel_limit_check(
-        EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0), [0.5, 1.0, 2.0], [10.0, 100.0, 1000.0], k
-    )
-    report["checks"]["nonrel_limit"] = {
-        "c_ladder": [10.0, 100.0, 1000.0],
-        "deviations": list(map(float, devs)),
-        "pass": bool(devs[0] > devs[1] > devs[2]),
+        "pass": errs[-1] < 1e-2 and _decreasing(errs),
     }
 
-    report["pass"] = all(chk["pass"] for chk in report["checks"].values())
-    return report
+
+def check_nonrel_limit(k: PhysConstants, c_ladder) -> dict:
+    """Criterion 10, eigenfunction half: the phase-stripped positive-charge
+    non-nodal eigenfunction at tau = 1 and p = 0.5, 1, 2 approaches its
+    non-relativistic form, its deviation falling along the ascending
+    ``c_ladder``."""
+    spec = EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0)
+    devs = list(map(float, nonrel_limit_check(spec, [0.5, 1.0, 2.0], c_ladder, k)))
+    return {"c_ladder": list(c_ladder), "deviations": devs, "pass": _decreasing(devs)}
+
+
+def check_nonrel_operator(k: PhysConstants, c_ladder) -> dict:
+    """Criterion 10: at each speed of the ascending ``c_ladder`` the exact
+    operator's sigma3 coefficient of T[1,1] times c^2 is one constant and
+    that of T[-1,1] is -m0; the even operator's coefficients at p = 1; and
+    the eigenfunction deviations of :func:`check_nonrel_limit` with their
+    successive ratios (about 100 per decade in c)."""
+    operator = []
+    scaled_values = set()
+    tm11_exact = True
+    for c in c_ladder:
+        kc = PhysConstants(hbar=k.hbar, c=c, m0=k.m0)
+        _, c_e, m0_e = kc.exact()
+        op = algebra.minimal_toa_operator(kc)
+        t11 = op.coeff(1, 1)
+        tm11 = op.coeff(-1, 1)
+        scaled = t11.c[3] * algebra.RC(c_e * c_e)
+        scaled_values.add(scaled)
+        tm11_exact = tm11_exact and tm11.c[3] == algebra.RC(-m0_e)
+        first, second = even_toa_coefficients(np.array([1.0]), kc)
+        operator.append(
+            {
+                "c": c,
+                "t11_sigma3": str(t11.c[3]),
+                "t11_sigma3_times_c2": str(scaled),
+                "tm11_sigma3": str(tm11.c[3]),
+                "even_first_coeff_at_p1": float(first[0]),
+                "even_second_coeff_at_p1": float(second[0]),
+            }
+        )
+    limit = check_nonrel_limit(k, c_ladder)
+    devs = limit["deviations"]
+    return {
+        "c_ladder": limit["c_ladder"],
+        "operator_coefficients": operator,
+        "t11_scales_as_inverse_c2": len(scaled_values) == 1,
+        "tm11_equals_minus_m0": tm11_exact,
+        "eigenfunction_deviation": devs,
+        "deviation_ratios": [a / b for a, b in zip(devs, devs[1:])],
+        "decreasing": limit["pass"],
+    }
+
+
+def spectral_report(cfg: RunConfig, full: bool = False) -> dict:
+    k = cfg.constants
+    ladder = [(25.0, 0.1)] + ([(50.0, 0.05), (100.0, 0.025)] if full else [])
+    checks = {
+        "eigenrelation": check_eigenrelation(k),
+        "conjugacy": check_conjugacy(k, lambda n: _bump_states(n, 3)),
+        "symmetry": check_symmetry(k, lambda n: _bump_states(n, 5)),
+        "overlap": check_overlap(k),
+        "completeness": check_completeness(k, ladder),
+        "nonrel_limit": check_nonrel_limit(k, [10.0, 100.0, 1000.0]),
+    }
+    return {"checks": checks, "pass": all(chk["pass"] for chk in checks.values())}
 
 
 def cmd_verify_spectral(cfg: RunConfig, args) -> int:
@@ -520,48 +594,12 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
 
 
 def cmd_limits(cfg: RunConfig, args) -> int:
-    k = cfg.constants
     ladder = sorted(set(args.c_ladder))
     if len(ladder) < 2:
         raise ValueError("need at least two distinct ladder speeds")
-    operator = []
-    scaled_values = set()
-    tm11_exact = True
-    for c in ladder:
-        kc = PhysConstants(hbar=k.hbar, c=c, m0=k.m0)
-        _, c_e, m0_e = kc.exact()
-        op = algebra.minimal_toa_operator(kc)
-        t11 = op.coeff(1, 1)
-        tm11 = op.coeff(-1, 1)
-        scaled = t11.c[3] * algebra.RC(c_e * c_e)
-        scaled_values.add(scaled)
-        tm11_exact = tm11_exact and tm11.c[3] == algebra.RC(-m0_e)
-        first, second = even_toa_coefficients(np.array([1.0]), kc)
-        operator.append(
-            {
-                "c": c,
-                "t11_sigma3": str(t11.c[3]),
-                "t11_sigma3_times_c2": str(scaled),
-                "tm11_sigma3": str(tm11.c[3]),
-                "even_first_coeff_at_p1": float(first[0]),
-                "even_second_coeff_at_p1": float(second[0]),
-            }
-        )
-    spec = EigenSpec(ChargeSign.POSITIVE, Parity.NONNODAL, 1.0)
-    devs = nonrel_limit_check(spec, [0.5, 1.0, 2.0], ladder, k)
-    ratios = [float(devs[i] / devs[i + 1]) for i in range(len(devs) - 1)]
-    ok = all(a > b for a, b in zip(devs, devs[1:])) and len(scaled_values) == 1 and tm11_exact
-    payload = {
-        "config": cfg.snapshot,
-        "c_ladder": ladder,
-        "operator_coefficients": operator,
-        "t11_scales_as_inverse_c2": len(scaled_values) == 1,
-        "tm11_equals_minus_m0": tm11_exact,
-        "eigenfunction_deviation": list(map(float, devs)),
-        "deviation_ratios": ratios,
-        "decreasing": bool(all(a > b for a, b in zip(devs, devs[1:]))),
-    }
-    _emit(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    result = check_nonrel_operator(cfg.constants, ladder)
+    _emit(cfg, json.dumps({"config": cfg.snapshot, **result}, indent=2, sort_keys=True) + "\n")
+    ok = result["decreasing"] and result["t11_scales_as_inverse_c2"] and result["tm11_equals_minus_m0"]
     return 0 if ok else 2
 
 

@@ -73,8 +73,12 @@ class GaussianState:
     def default_grid(self) -> np.ndarray:
         """Uniform grid centered on p0, wide enough that the packet has
         decayed below 1e-12 in probability at the edges; shifted half a
-        step if p = 0 would land exactly on a node."""
+        step if p = 0 would land exactly on a node.  For p0 < 0 it is the
+        mirror image of the p0 > 0 partner's grid, so a packet and its
+        mirror (p0, x0) -> (-p0, -x0) sample the sqrt(|p|) cusp alike."""
         half = DEFAULT_HALF_WIDTH_SIGMAS * 0.5 * self.k.momentum_scale
+        if self.p0 < 0.0:
+            return -momentum_grid(-self.p0 - half, -self.p0 + half, DEFAULT_GRID_POINTS)[::-1]
         return momentum_grid(self.p0 - half, self.p0 + half, DEFAULT_GRID_POINTS)
 
     def field(self, grid=None) -> SpinorField:

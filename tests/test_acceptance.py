@@ -6,27 +6,16 @@ tolerances are asserted exactly as stated, nothing is tuned at import
 time.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from rtoa import algebra
-from rtoa.core import ChargeSign, PhysConstants, SpinorField, inner_product_phi
+from rtoa import algebra, cli
+from rtoa.core import PhysConstants
 from rtoa.dynamics import density_grid
 from rtoa.quadrature import QuadratureConfig
-from rtoa.spectral import (
-    EigenSpec,
-    Parity,
-    apply_even_toa,
-    apply_hamiltonian,
-    completeness_check,
-    eigenfunction_field,
-    nonrel_limit_check,
-    overlap,
-    overlap_numeric,
-)
+from rtoa.spectral import Parity
 from rtoa.toa import (
     classical_references,
     gaussian_state,
@@ -37,8 +26,6 @@ from rtoa.toa import (
 from conftest import bump, phi_field
 
 K = PhysConstants()
-POS = ChargeSign.POSITIVE
-NEG = ChargeSign.NEGATIVE
 
 
 def report(n, label, ok, detail):
@@ -65,147 +52,87 @@ def test_criterion_1_exact_conjugacy():
 def test_criterion_2_numerical_conjugacy():
     start = time.monotonic()
 
-    def worst_residual(n):
+    def states(n):
         grid = np.linspace(0.45, 5.05, n)
         b = bump(grid, 0.5, 5.0)
-        states = [
+        return [
             phi_field(grid, b),
             phi_field(grid, b * np.exp(3j * grid), 0.5 * b * np.exp(1j * grid)),
             phi_field(grid, b * grid * np.exp(-2j * grid), 0.2 * b),
         ]
-        worst = 0.0
-        inner = slice(2, -2)
-        for f in states:
-            HT = apply_hamiltonian(apply_even_toa(f, K), K)
-            TH = apply_even_toa(apply_hamiltonian(f, K), K)
-            num = math.sqrt(
-                np.linalg.norm(HT.upper[inner] - TH.upper[inner] - 1j * K.hbar * f.upper[inner]) ** 2
-                + np.linalg.norm(HT.lower[inner] - TH.lower[inner] - 1j * K.hbar * f.lower[inner]) ** 2
-            )
-            den = math.sqrt(
-                np.linalg.norm(f.upper[inner]) ** 2 + np.linalg.norm(f.lower[inner]) ** 2
-            )
-            worst = max(worst, num / den)
-        return worst
 
-    r1, r2 = worst_residual(4097), worst_residual(8193)
-    order = math.log2(r1 / r2) if r2 > 0 else float("inf")
+    r = cli.check_conjugacy(K, states)
     elapsed = time.monotonic() - start
-    ok = r1 < 1e-4 and order >= 3.0 and elapsed < 10.0
+    ok = r["pass"] and r["residual_4097"] < 1e-4 and r["order"] >= 3.0 and elapsed < 10.0
     report(
         2,
         "numerical conjugacy",
         ok,
-        f"residual(4097)={r1:.3e} < 1e-4, refinement order {order:.2f} >= 3, "
+        f"residual(4097)={r['residual_4097']:.3e} < 1e-4, refinement order {r['order']:.2f} >= 3, "
         f"elapsed {elapsed:.1f}s < 10s",
     )
 
 
 def test_criterion_3_eigenrelation():
-    def worst_residual(n):
-        grid = np.linspace(0.5, 5.0, n)
-        inner = slice(2, -2)
-        worst = 0.0
-        for parity in (Parity.NONNODAL, Parity.NODAL):
-            for tau in (0.5, 1.0, 2.0):
-                f = eigenfunction_field(EigenSpec(POS, parity, tau), 0.0, grid, K)
-                Tf = apply_even_toa(f, K)
-                rel = np.linalg.norm(
-                    Tf.upper[inner] - tau * f.upper[inner]
-                ) / np.linalg.norm(f.upper[inner])
-                worst = max(worst, rel)
-        return worst
-
-    r_main = worst_residual(4097)
-    # at 4097 points the residual sits at the roundoff floor, so the
-    # refinement order is measured where truncation still dominates
-    r1, r2 = worst_residual(513), worst_residual(1025)
-    order = math.log2(r1 / r2)
-    ok = r_main < 1e-4 and order >= 3.0
+    r = cli.check_eigenrelation(K)
+    ok = r["pass"] and r["residual_4097"] < 1e-4 and r["order"] >= 3.0
     report(
         3,
         "eigenrelation",
         ok,
-        f"interior residual(4097)={r_main:.3e} < 1e-4, order(513->1025)={order:.2f} >= 3",
+        f"interior residual(4097)={r['residual_4097']:.3e} < 1e-4, "
+        f"order(513->1025)={r['order']:.2f} >= 3",
     )
 
 
 def test_criterion_4_symmetry(rng):
-    def worst_imag(n):
+    def states(n):
         grid = np.linspace(0.45, 5.05, n)
         b = bump(grid, 0.5, 5.0)
-        worst = 0.0
+        fields = []
         for _ in range(5):
             cu = rng.normal(size=3) + 1j * rng.normal(size=3)
             cl = rng.normal(size=3) + 1j * rng.normal(size=3)
             up = b * (cu[0] + cu[1] * grid + cu[2] * np.exp(2j * grid))
             lo = b * (cl[0] + cl[1] * grid + cl[2] * np.exp(-1j * grid))
-            f = phi_field(grid, up, lo)
-            v = inner_product_phi(f, apply_even_toa(f, K))
-            worst = max(worst, abs(v.imag) / abs(v))
-        return worst
+            fields.append(phi_field(grid, up, lo))
+        return fields
 
-    coarse = worst_imag(2049)
-    refined = worst_imag(4097)
-    ok = refined < 1e-6
+    r = cli.check_symmetry(K, states)
+    ok = r["pass"] and r["imag_fraction_4097"] < 1e-6
     report(
         4,
         "symmetry",
         ok,
-        f"Im/|.| worst {refined:.3e} < 1e-6 after refinement (coarse {coarse:.3e})",
+        f"Im/|.| worst {r['imag_fraction_4097']:.3e} < 1e-6 after refinement "
+        f"(coarse {r['imag_fraction_2049']:.3e})",
     )
 
 
 def test_criterion_5_nonorthogonality():
-    worst = 0.0
-    for lam in (POS, NEG):
-        for dt in (0.5, 1.0, 2.0, 5.0):
-            for parity in (Parity.NONNODAL, Parity.NODAL):
-                s1 = EigenSpec(lam, parity, dt)
-                s2 = EigenSpec(lam, parity, 0.0)
-                ana = overlap(s1, s2, K).regular_part
-                num = overlap_numeric(s1, s2, K)
-                worst = max(worst, abs(num - ana) / abs(ana))
-    cross_charge = overlap(
-        EigenSpec(POS, Parity.NONNODAL, 1.0), EigenSpec(NEG, Parity.NONNODAL, 0.0), K
-    )
-    cross_parity = overlap(
-        EigenSpec(POS, Parity.NODAL, 1.0), EigenSpec(POS, Parity.NONNODAL, 0.0), K
-    )
-    zeros = (
-        cross_charge.distributional_part == 0.0
-        and cross_charge.regular_part == 0.0
-        and cross_parity.distributional_part == 0.0
-        and cross_parity.regular_part == 0.0
-        and overlap_numeric(
-            EigenSpec(POS, Parity.NODAL, 1.0), EigenSpec(NEG, Parity.NODAL, 0.0), K
-        )
-        == 0.0
-    )
-    ok = worst < 1e-3 and zeros
+    r = cli.check_overlap(K)
+    zeros = r["cross_charge_zero"] and r["cross_parity_zero"]
+    ok = r["pass"] and r["worst_rel_error"] < 1e-3 and zeros
     report(
         5,
         "non-orthogonality closed form",
         ok,
-        f"worst relative error {worst:.3e} < 1e-3, structural zeros exact: {zeros}",
+        f"worst relative error {r['worst_rel_error']:.3e} < 1e-3, structural zeros exact: {zeros}",
     )
 
 
 def test_criterion_6_completeness():
     start = time.monotonic()
-    state = gaussian_state(3.0, 0.0, K)
-    f = state.field(np.linspace(-2.0, 8.0, 2049))
-    settings = [(25.0, 0.1), (50.0, 0.05), (100.0, 0.025)]
-    errs = [completeness_check(f, T, dt, K) for T, dt in settings]
+    r = cli.check_completeness(K, [(25.0, 0.1), (50.0, 0.05), (100.0, 0.025)])
     elapsed = time.monotonic() - start
-    monotone = all(a > b for a, b in zip(errs, errs[1:]))
-    ok = monotone and errs[-1] < 1e-2 and elapsed < 300.0
+    errs = r["errors"]
+    ok = r["pass"] and errs[-1] < 1e-2 and elapsed < 300.0
     report(
         6,
         "completeness",
         ok,
-        f"errors {['%.3e' % e for e in errs]} monotone={monotone}, "
-        f"final < 1e-2, elapsed {elapsed:.0f}s < 300s",
+        f"errors {['%.3e' % e for e in errs]} falling with the final one < 1e-2: "
+        f"{r['pass']}, elapsed {elapsed:.0f}s < 300s",
     )
 
 
@@ -332,30 +259,17 @@ def test_criterion_9_gaussian_moments():
 
 
 def test_criterion_10_nonrelativistic_limit():
-    ladder = (10.0, 100.0, 1000.0)
-    scaled = set()
-    tm11_ok = True
-    for c in ladder:
-        kc = PhysConstants(c=c)
-        _, c_e, m0_e = kc.exact()
-        op = algebra.minimal_toa_operator(kc)
-        scaled.add(op.coeff(1, 1).c[3] * algebra.RC(c_e * c_e))
-        tm11_ok = tm11_ok and op.coeff(-1, 1).c[3] == algebra.RC(-m0_e)
-    operator_ok = len(scaled) == 1 and tm11_ok
-
-    devs = nonrel_limit_check(
-        EigenSpec(POS, Parity.NONNODAL, 1.0), [0.5, 1.0, 2.0], ladder, K
-    )
-    ratios = devs[:-1] / devs[1:]
+    r = cli.check_nonrel_operator(K, [10.0, 100.0, 1000.0])
+    operator_ok = r["t11_scales_as_inverse_c2"] and r["tm11_equals_minus_m0"]
+    ratios = r["deviation_ratios"]
     # each decade in c must buy about two orders of magnitude
-    rate_ok = bool(np.all(ratios > 30.0) and np.all(ratios < 300.0))
-    decreasing = bool(devs[0] > devs[1] > devs[2])
-    ok = operator_ok and decreasing and rate_ok
+    rate_ok = all(30.0 < q < 300.0 for q in ratios)
+    ok = operator_ok and r["decreasing"] and rate_ok
     report(
         10,
         "non-relativistic limit",
         ok,
         f"T[1,1] coeff * c^2 constant and T[-1,1] coeff = -m0 exactly: {operator_ok}; "
-        f"deviations {['%.2e' % d for d in devs]} decreasing with ratios "
-        f"{['%.0f' % r for r in ratios]} ~ 100 per decade: {decreasing and rate_ok}",
+        f"deviations {['%.2e' % d for d in r['eigenfunction_deviation']]} decreasing with ratios "
+        f"{['%.0f' % q for q in ratios]} ~ 100 per decade: {r['decreasing'] and rate_ok}",
     )

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rtoa import cli
 from rtoa.cli import dispatch
 
 
@@ -33,6 +34,37 @@ class TestVerifyAlgebra:
         code, _, _ = run(capsys, "verify-algebra")
         assert code == 0
         assert time.time() - start < 1.0
+
+
+class TestVerifySpectral:
+    CHECK_KEYS = {
+        "eigenrelation": ["order", "pass", "residual_1025", "residual_4097", "residual_513"],
+        "conjugacy": ["order", "pass", "residual_4097", "residual_8193"],
+        "symmetry": ["imag_fraction_2049", "imag_fraction_4097", "pass"],
+        "overlap": ["cross_charge_zero", "cross_parity_zero", "pass", "worst_rel_error"],
+        "completeness": ["errors", "pass", "settings"],
+        "nonrel_limit": ["c_ladder", "deviations", "pass"],
+    }
+
+    def test_report_passes_with_the_same_keys(self, tmp_path, capsys):
+        out = tmp_path / "spectral.json"
+        code, _, _ = run(capsys, "--out", str(out), "verify-spectral")
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert sorted(report) == ["checks", "config", "pass"]
+        assert {name: sorted(chk) for name, chk in report["checks"].items()} == self.CHECK_KEYS
+        assert all(chk["pass"] is True for chk in report["checks"].values())
+
+    def test_one_failed_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        failed = {"worst_rel_error": 1.0, "cross_charge_zero": True, "cross_parity_zero": True, "pass": False}
+        monkeypatch.setattr(cli, "check_overlap", lambda k: failed)
+        out = tmp_path / "spectral.json"
+        code, _, _ = run(capsys, "--out", str(out), "verify-spectral")
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert report["checks"]["overlap"] == failed
 
 
 class TestEigenfunctionCsv:
