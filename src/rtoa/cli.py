@@ -109,7 +109,11 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("verify-algebra", help="print the solved operator and commutator residual")
 
-    vs = sub.add_parser("verify-spectral", help="JSON report of operator identity checks")
+    vs = sub.add_parser(
+        "verify-spectral",
+        help="JSON report of operator identity checks; its fixtures are tuned to hbar = c = m0 = 1, "
+        "and other constants can fail a check and exit 2",
+    )
     vs.add_argument("--full", action="store_true", help="run the slow completeness ladder too")
 
     eig = sub.add_parser("eigenfunction", help="sample an eigenfunction to CSV")

@@ -121,36 +121,33 @@ def eigenfunction_field(
     )
 
 
-def fornberg_weights(x0: float, xs: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at x0 on the
-    stencil xs (Fornberg's recursion)."""
-    n = len(xs)
-    w = np.zeros((order + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for s in range(mn, 0, -1):
-                    w[s, i] = c1 * (s * w[s - 1, i - 1] - c5 * w[s, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for s in range(mn, 0, -1):
-                w[s, j] = ((xs[i] - x0) * w[s, j] - s * w[s - 1, j]) / c3
-            w[0, j] = (xs[i] - x0) * w[0, j] / c3
-        c1 = c2
+def fornberg_weights(x0: float | np.ndarray, xs: np.ndarray, order: int) -> np.ndarray:
+    """Weights for d^order/dx^order at x0 on the stencil xs (Fornberg,
+    Math. Comp. 51 (1988) 699), batched elementwise so that x0 (m,) and
+    xs (m, n) give (m, n) weights, each row bitwise its stencil's alone."""
+    xs = np.asarray(xs, dtype=float)
+    w = np.zeros((order + 1,) + xs.shape)
+    w[0, ..., 0] = 1.0
+    c2 = 1.0
+    for i in range(1, xs.shape[-1]):
+        c3 = xs[..., i, None] - xs[..., :i]
+        c1, c2 = c2, np.prod(c3, axis=-1)  # in index order, checked bitwise by the tests
+        c4, c5 = xs[..., i] - x0, xs[..., i - 1] - x0
+        for s in range(min(i, order), 0, -1):
+            w[s, ..., i] = c1 * (s * w[s - 1, ..., i - 1] - c5 * w[s, ..., i - 1]) / c2
+            w[s, ..., :i] = (c4[..., None] * w[s, ..., :i] - s * w[s - 1, ..., :i]) / c3
+        w[0, ..., i] = -c1 * c5 * w[0, ..., i - 1] / c2
+        w[0, ..., :i] = c4[..., None] * w[0, ..., :i] / c3
     return w[order]
 
 
 def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """First derivative of sampled values on an arbitrary increasing
-    grid, via local 5-point (fourth-order) stencils."""
+    grid, via local 5-point (fourth-order) stencils.  Node i uses the
+    samples from clip(i - 2, 0, n - 5); one batched ``fornberg_weights``
+    call weights all nodes, or the 4 end nodes of a grid uniform to rtol
+    1e-12, whose interior keeps the closed-form centered stencil: the
+    benchmark reference pins the conjugacy order that stencil gives."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
     n = grid.size
@@ -159,17 +156,16 @@ def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
     if np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0):
         h = grid[1] - grid[0]
-        # 4th-order centered stencil in the interior
         out[2:-2] = (
             values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
         ) / (12.0 * h)
-        nodes = (0, 1, n - 2, n - 1)
+        nodes = np.array([0, 1, n - 2, n - 1])
     else:
-        nodes = range(n)
-    for i in nodes:
-        lo = min(max(i - 2, 0), n - 5)
-        w = fornberg_weights(grid[i], grid[lo : lo + 5], 1)
-        out[i] = w @ values[lo : lo + 5]
+        nodes = np.arange(n)
+    stencil = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
+    w = fornberg_weights(grid[nodes], grid[stencil], 1).astype(out.dtype)
+    # row by row, a stack of 1x5 @ 5x1 products sums as the 1-D `w @ v` does
+    out[nodes] = np.matmul(w[:, None, :], values[stencil][:, :, None])[:, 0, 0]
     return out
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtoa import spectral
 from rtoa.core import ChargeSign, PhysConstants, energy, inner_product_phi, trapezoid_weights
 from rtoa.errors import DivergentOverlapError, SingularPointError
 from rtoa.quadrature import QuadratureConfig
@@ -22,6 +23,7 @@ from rtoa.spectral import (
     eigenfunction_momentum,
     eigenfunction_scalar,
     even_toa_coefficients,
+    fornberg_weights,
     nonrel_limit_check,
     overlap,
     overlap_numeric,
@@ -79,6 +81,58 @@ class TestEigenfunctions:
         assert np.allclose(np.abs(f0), np.abs(ft), rtol=1e-14)
 
 
+def fornberg_weights_scalar(x0, xs, order):
+    """Reference: Fornberg's recursion on one stencil, scalar by scalar."""
+    n = len(xs)
+    w = np.zeros((order + 1, n))
+    w[0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for s in range(mn, 0, -1):
+                    w[s, i] = c1 * (s * w[s - 1, i - 1] - c5 * w[s, i - 1]) / c2
+                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+            for s in range(mn, 0, -1):
+                w[s, j] = ((xs[i] - x0) * w[s, j] - s * w[s - 1, j]) / c3
+            w[0, j] = (xs[i] - x0) * w[0, j] / c3
+        c1 = c2
+    return w[order]
+
+
+def differentiate_per_node(grid, values):
+    """Reference: one 5-point Fornberg stencil per node, node by node."""
+    n = grid.size
+    out = np.empty_like(values, dtype=complex)
+    for i in range(n):
+        lo = min(max(i - 2, 0), n - 5)
+        out[i] = fornberg_weights_scalar(grid[i], grid[lo : lo + 5], 1) @ values[lo : lo + 5]
+    return out
+
+
+@st.composite
+def stencil_batches(draw):
+    """1-6 strictly increasing stencils of one size, 3-7 points, each with
+    a point x0 on one of its nodes or between two of them."""
+    n = draw(st.integers(3, 7))
+    x0s, rows = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
+        xs = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+        i = draw(st.integers(0, n - 2))
+        frac = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        x0s.append(xs[i] + frac * (xs[i + 1] - xs[i]))
+        rows.append(xs)
+    return np.array(x0s), np.array(rows)
+
+
 class TestDifferentiate:
     def test_fourth_order_on_uniform_grid(self):
         errs = []
@@ -92,6 +146,53 @@ class TestDifferentiate:
         grid = np.sort(np.concatenate([np.linspace(0, 1, 40), np.linspace(1.01, 2, 37)]))
         d = differentiate(grid, grid**4)
         assert np.allclose(d, 4.0 * grid**3, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=stencil_batches(), order=st.integers(1, 2))
+    def test_batched_weights_equal_scalar_recursion(self, batch, order):
+        x0, xs = batch
+        w = fornberg_weights(x0, xs, order)
+        assert w.shape == xs.shape
+        for row, a, b in zip(w, x0, xs):
+            assert np.array_equal(row, fornberg_weights_scalar(a, b, order))
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.4, 5.1, 8193), np.linspace(0.45, 5.05, 8193)], ids=["uniform", "nonuniform"]
+    )
+    def test_one_weights_call_per_derivative(self, grid, monkeypatch):
+        calls = []
+        batched = spectral.fornberg_weights
+
+        def counted(*args):
+            calls.append(args)
+            return batched(*args)
+
+        monkeypatch.setattr(spectral, "fornberg_weights", counted)
+        spectral.differentiate(grid, np.sin(grid))
+        assert len(calls) == 1
+
+    def test_five_points_share_one_stencil_and_are_exact_on_quartics(self):
+        grid = np.array([0.0, 0.3, 1.1, 1.5, 2.6])
+        f = 2.0 - grid + 0.5 * grid**2 - grid**3 + 0.25 * grid**4
+        df = -1.0 + grid - 3.0 * grid**2 + grid**3
+        assert np.allclose(differentiate(grid, f), df, rtol=0.0, atol=1e-12)
+
+    def test_fewer_than_five_samples_refused(self):
+        with pytest.raises(ValueError):
+            differentiate(np.arange(4.0), np.arange(4.0))
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2])
+    def test_real_in_real_out_complex_in_complex_out(self, grid):
+        assert differentiate(grid, np.cos(grid)).dtype == np.float64
+        assert differentiate(grid, np.exp(1j * grid)).dtype == np.complex128
+
+    def test_complex_nonuniform_field_matches_per_node_loop(self):
+        grid = np.linspace(0.45, 5.05, 8193)
+        assert not np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0)
+        f = bump(grid, 0.5, 5.0) * np.exp(-3.0j * grid**2)
+        want = differentiate_per_node(grid, f)
+        got = differentiate(grid, f)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestEvenOperator:
