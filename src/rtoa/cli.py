@@ -550,6 +550,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
         tau_mp = most_probable_tau(dist)
     except RangeBoundaryError:
         tau_mp = None
+    window_integral = dist.integral()  # mass inside the tau window
 
     if cfg.format == "json":
         payload = {
@@ -558,7 +559,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
             "tau_mp": tau_mp,
             "t_class": t_class,
             "t_ph": t_ph,
-            "window_integral": dist.integral(),
+            "window_integral": window_integral,
             "grid": {
                 "tau_min": float(dist.tau_samples[0]),
                 "tau_max": float(dist.tau_samples[-1]),
@@ -576,6 +577,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
             f"# p0: {_fmt(args.p0)}  x0: {_fmt(args.x0)}  t_ph: {_fmt(t_ph)}"
             + (f"  t_class: {_fmt(t_class)}" if t_class is not None else "")
             + (f"  tau_mp: {_fmt(tau_mp)}" if tau_mp is not None else "")
+            + f"  window_integral: {_fmt(window_integral)}"
         )
         lines.append("tau,pi_total,pi_nonnodal,pi_nodal")
         for i in range(dist.tau_samples.size):

@@ -65,6 +65,10 @@ def _f_integrals_result(
 
     The integrand factors as g(q) T(b sqrt(1+q^2)) K(a q), so each node
     costs len(xs) + len(ts) trigonometric evaluations, not their product.
+    It writes every block into one buffer per call, grown when a block
+    needs more room, and returns a view of it: the engine consumes each
+    block before asking for the next, and fresh block-sized arrays would
+    make the cost of every block depend on the allocator's heap state.
     """
     if eps <= 0.0:
         raise ValueError("epsilon must be > 0")
@@ -72,13 +76,20 @@ def _f_integrals_result(
     b = k.rest_energy * (np.asarray(ts, dtype=float) - tau) / k.hbar
     kernel = np.sin if branch.is_nodal else np.cos  # sin(0) = 0: nodal x = 0 cells are exact zeros
 
+    buffer = np.empty(0)
+
     def integrand(qq):
+        nonlocal buffer
         root = np.sqrt(1.0 + qq * qq)
         sqrt_q, damping = np.sqrt(qq), np.exp(-eps * qq)
         space = kernel(np.multiply.outer(qq, a))
         phase = np.multiply.outer(root, b)
         time = (np.cos(phase)[:, :, None], np.sin(phase)[:, :, None])
-        cells = np.empty((qq.size, b.size, a.size, len(powers), 2))
+        shape = (qq.size, b.size, a.size, len(powers), 2)
+        size = math.prod(shape)
+        if buffer.size < size:
+            buffer = np.empty(size)
+        cells = buffer[:size].reshape(shape)
         for i, power in enumerate(powers):
             weighted = (sqrt_q * root**power * damping)[:, None, None] * space[:, None, :]
             for j, factor in enumerate(time):

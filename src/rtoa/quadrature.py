@@ -18,6 +18,12 @@ the per-panel table of all members would exceed that budget, the
 engine sweeps the initial panels once keeping only per-member totals,
 then keeps a table, and refines, only for the members still over
 tolerance.
+
+The engine consumes each array ``f`` returns before calling ``f``
+again, and may overwrite it in the process (the GK15 error estimate
+forms |f - mean| in place; a read-only result is copied first).  So an
+integrand may hand out views of one reused buffer rather than a fresh
+block-sized array per call.
 """
 
 from __future__ import annotations
@@ -151,9 +157,11 @@ def _gk15(f, panels: np.ndarray, members: int, n_out: int, cols):
     fx = fx.reshape(panels.shape[0], GK_NODES.size, -1)
     resk = np.einsum("j,pjo->po", GK_WEIGHTS, fx)
     resg = np.einsum("j,pjo->po", G_WEIGHTS, fx)
-    reskh = 0.5 * resk
-    spread = fx - reskh[:, None, :]
-    resasc = np.einsum("j,pjo->po", GK_WEIGHTS, np.abs(spread, out=spread))
+    if not fx.flags.writeable:
+        fx = fx.copy()
+    # |f - resk/2| in place: fx is not read again
+    np.subtract(fx, 0.5 * resk[:, None, :], out=fx)
+    resasc = np.einsum("j,pjo->po", GK_WEIGHTS, np.abs(fx, out=fx))
     values = resk * half[:, None]
     raw = np.abs((resk - resg) * half[:, None])
     resasc = resasc * half[:, None]
@@ -214,8 +222,10 @@ def adaptive_quadrature(
 
     ``f`` maps a flat array of abscissae to an array of shape
     (npoints,) or (npoints, n_out), or (npoints, members, n_out) when
-    ``members`` is given.  ``max_width`` caps the initial panel width
-    (use a half period of the fastest oscillating factor).
+    ``members`` is given; that array may be overwritten, so ``f`` must
+    not return one it reads again (a read-only array is copied).
+    ``max_width`` caps the initial panel width (use a half period of the
+    fastest oscillating factor).
 
     Members share one panel tree: a panel is bisected when any member
     still over its tolerance asks for it, and a member's total is fixed

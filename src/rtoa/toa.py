@@ -132,31 +132,48 @@ def _check_edge_decay(grid: np.ndarray, amp: np.ndarray) -> None:
         )
 
 
-# tau samples per phase-matrix block of the amplitude sum
+# tau samples per block of the amplitude sum: the (block x n_p) table of
+# in-block phases is built once per call and shared by every block
 _TAU_CHUNK = 256
 
 
 def _branch_amplitudes(
-    field: SpinorField, lam: ChargeSign, taus: np.ndarray, k: PhysConstants
+    field: SpinorField, lam: ChargeSign, tau0: float, step: float, n: int, k: PhysConstants
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps <state, eigenfunction(lam, branch, tau)> for every tau,
-    as (nonnodal, nodal) arrays: the trapezoid sum over the momentum grid
-    of the block ``lam``, which must hold the state's amplitude."""
+    """Overlaps <state, eigenfunction(lam, branch, tau)> on the uniform
+    grid tau_j = tau0 + j step, j < n, as (nonnodal, nodal) arrays: the
+    trapezoid sum over the momentum grid of the block ``lam``, which must
+    hold the state's amplitude.
+
+    The phases exp(i lam tau_j E / hbar) are never formed one by one.
+    The in-block rows exp(i lam j step E / hbar), j < _TAU_CHUNK, are
+    built by doubling (rows [m, 2m) are rows [0, m) times the row at
+    j = m), and each block's start phase exp(i lam tau_s E / hbar) is
+    folded into the two amplitude columns, so a block is one
+    (rows x n_p) @ (n_p x 2) product and a call takes about
+    log2(_TAU_CHUNK) + n / _TAU_CHUNK exponential rows."""
     grid = field.grid
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     _check_edge_decay(grid, amp)
     w = trapezoid_weights(grid)
     e = energy(grid, k)
+    rate = (1j * int(lam) / k.hbar) * e  # phase per unit tau
     base = w * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
-    base_nodal = base * np.sign(grid)
-    nonnodal = np.empty(taus.size, dtype=complex)
-    nodal = np.empty(taus.size, dtype=complex)
-    for start in range(0, taus.size, _TAU_CHUNK):
-        ts = taus[start : start + _TAU_CHUNK]
-        phases = np.exp((1j * int(lam) / k.hbar) * np.outer(ts, e))
-        nonnodal[start : start + ts.size] = phases @ base
-        nodal[start : start + ts.size] = phases @ base_nodal
-    return nonnodal, nodal
+    columns = np.stack([base, base * np.sign(grid)], axis=1)
+    block = min(n, _TAU_CHUNK)
+    rows = np.empty((block, grid.size), dtype=complex)
+    rows[0] = 1.0
+    m = 1
+    while m < block:
+        size = min(m, block - m)
+        np.multiply(rows[:size], np.exp(rate * (m * step)), out=rows[m : m + size])
+        m += size
+    out = np.empty((n, 2), dtype=complex)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        start_phase = np.exp(rate * (tau0 + start * step))
+        out[start : start + size] = rows[:size] @ (columns * start_phase[:, None])
+    return out[:, 0], out[:, 1]
 
 
 def toa_overlap(
@@ -176,7 +193,7 @@ def toa_overlap(
     """
     if not np.any(state.upper if lam is ChargeSign.POSITIVE else state.lower):
         return 0.0 + 0.0j
-    nonnodal, nodal = _branch_amplitudes(state, lam, np.array([float(tau)]), k)
+    nonnodal, nodal = _branch_amplitudes(state, lam, float(tau), 0.0, 1, k)
     return complex((nodal if branch.is_nodal else nonnodal)[0])
 
 
@@ -203,7 +220,7 @@ class ToaDistribution:
 
     def integral(self) -> float:
         """Total mass over the sampled window; reported, not asserted."""
-        return float(np.trapezoid(self.pi_values, self.tau_samples))
+        return float(np.sum(trapezoid_weights(self.tau_samples) * self.pi_values))
 
 
 def toa_distribution(
@@ -243,9 +260,11 @@ def toa_distribution(
         if not isinstance(state, GaussianState):
             raise ValueError("tau_range is required for sampled states")
         tau_range = default_tau_range(p0, x0, kk)
-    taus = np.linspace(tau_range[0], tau_range[1], n_tau)
+    lo, hi = tau_range
+    taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below
 
-    nonnodal, nodal = (np.abs(a) ** 2 for a in _branch_amplitudes(field, lam, taus, kk))
+    amplitudes = _branch_amplitudes(field, lam, lo, (hi - lo) / (n_tau - 1), n_tau, kk)
+    nonnodal, nodal = (np.abs(a) ** 2 for a in amplitudes)
     return ToaDistribution(
         taus, nonnodal + nodal, nonnodal, nodal, p0, x0, kk
     )

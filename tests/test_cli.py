@@ -200,6 +200,24 @@ class TestToaDist:
         assert "set arrow from 7.0" in script
         assert "dashtype 3" in script
 
+    def test_csv_header_reports_the_window_integral(self, tmp_path, capsys):
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"dist.{fmt}"
+            code, _, _ = run(
+                capsys,
+                "--out", str(out), "--format", fmt,
+                "toa-dist", "--p0", "0.1", "--x0", "-7", "--n-tau", "201",
+            )
+            assert code == 0
+            texts[fmt] = out.read_text()
+        (line,) = [l for l in texts["csv"].splitlines() if l.startswith("# p0:")]
+        fields = dict(f.split(": ") for f in line[2:].split("  "))
+        assert list(fields)[-1] == "window_integral"
+        mass = json.loads(texts["json"])["window_integral"]
+        assert float(fields["window_integral"]) == mass
+        assert 0.8 < mass < 0.9  # a slow packet leaves ~15% of its mass outside [-80, 80]
+
 
 class TestLimits:
     def test_report(self, tmp_path, capsys):

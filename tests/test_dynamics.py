@@ -2,11 +2,13 @@
 and the coupled-representation eigenfunctions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtoa import dynamics, quadrature
 from rtoa.core import ChargeSign, PhysConstants
 from rtoa.errors import RangeBoundaryError
 from rtoa.dynamics import (
@@ -212,6 +214,45 @@ class TestDensityGrid:
                 EigenSpec(POS, Parity.NONNODAL, 0.5),
                 Q,
             )
+
+
+# the density-ladder mesh: 21 x 21 cells integrated as one block at the
+# finest rung, two GK15 panels per integrand call
+LADDER_MESH = (np.linspace(-4.0, 4.0, 21), np.linspace(0.0, 2.0, 21), 0.075)
+
+
+class TestDensityBuffers:
+    def test_blocks_reuse_one_buffer(self, monkeypatch):
+        outputs = []
+
+        def recording(f, *args, **kwargs):
+            def f_recorded(q):
+                out = f(q)
+                outputs.append(out)
+                return out
+
+            return quadrature.integrate_sqrt_endpoint(f_recorded, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_sqrt_endpoint", recording)
+        xs, ts, eps = LADDER_MESH
+        dynamics._f_integrals_result(Parity.NONNODAL, 1.0, xs, ts, K, Q, eps, strict=False)
+        assert len(outputs) > 100
+        # the first call holds the head panel's single GK15 panel, so the
+        # buffer grows once, to the two-panel blocks; every later block
+        # writes into that same buffer
+        assert outputs[0].size < outputs[1].size
+        assert all(np.shares_memory(out, outputs[1]) for out in outputs[1:])
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    def test_peak_memory_stays_within_two_blocks(self, branch):
+        xs, ts, eps = LADDER_MESH
+        tracemalloc.start()
+        try:
+            dynamics._f_integrals_result(branch, 1.0, xs, ts, K, Q, eps, strict=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * quadrature._BLOCK_VALUES * 8
 
 
 class TestLocalization:

@@ -77,6 +77,11 @@ class TestAdaptive:
         )
         assert not res.converged
 
+    def test_read_only_output(self):
+        # the engine overwrites what f returns, so a read-only array is copied first
+        res = adaptive_quadrature(lambda x: np.broadcast_to(3.0, x.shape), 0.0, 2.0)
+        assert res.scalar() == 6.0
+
 
 class TestSqrtEndpoint:
     def test_plain_sqrt(self):

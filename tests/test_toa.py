@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rtoa.core import ChargeSign, PhysConstants, energy
+from rtoa import toa
+from rtoa.core import ChargeSign, PhysConstants, energy, momentum_grid, trapezoid_weights
 from rtoa.errors import (
     ClassicalTimeUndefinedError,
     RangeBoundaryError,
     StateTruncationError,
 )
-from rtoa.spectral import Parity
+from rtoa.spectral import Parity, eigen_amplitude_modulus
 from rtoa.toa import (
     GaussianState,
     ToaDistribution,
@@ -249,6 +250,50 @@ class TestDistributionSymmetries:
         # the unconjugated amplitude arrives time-reversed
         same = toa_distribution(_on_block(f, ChargeSign.NEGATIVE), window, 201, K)
         assert _close(same.pi_values, upper.pi_values[::-1], 1e-12)
+
+
+def _direct_amplitudes(field, lam, taus):
+    """(nonnodal, nodal, sum |base|): the overlap sums with one exp per
+    (tau, p) pair, 256 taus at a time."""
+    grid = field.grid
+    amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
+    e = energy(grid, K)
+    base = trapezoid_weights(grid) * np.conj(amp) * eigen_amplitude_modulus(grid, e, K)
+    columns = np.stack([base, base * np.sign(grid)], axis=1)
+    out = np.concatenate([
+        np.exp((1j * int(lam) / K.hbar) * np.outer(chunk, e)) @ columns
+        for chunk in np.array_split(taus, max(1, taus.size // 256))
+    ])
+    return out[:, 0], out[:, 1], float(np.sum(np.abs(base)))
+
+
+class TestPhaseRecurrence:
+    # block edges of the 256-row phase table, and the CLI's default n_tau
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 2001])
+    @settings(max_examples=4, deadline=None)
+    @given(p0=momenta, x0=positions, lo=st.floats(-80.0, 80.0), width=st.floats(0.01, 80.0),
+           lam=st.sampled_from(ChargeSign))
+    @example(p0=-3.0, x0=7.0, lo=-80.0, width=80.0, lam=ChargeSign.NEGATIVE)  # window below 0
+    @example(p0=0.3, x0=-7.0, lo=-40.0, width=80.0, lam=ChargeSign.POSITIVE)  # window across 0
+    def test_recurrence_equals_direct_sum(self, n, p0, x0, lo, width, lam):
+        # a coarser momentum grid than the default keeps the direct sum cheap
+        grid = momentum_grid(p0 - 4.0, p0 + 4.0, 1025)
+        f = _on_block(GaussianState(p0, x0, K).field(grid), lam)
+        step = width / max(n - 1, 1)
+        nonnodal, nodal = toa._branch_amplitudes(f, lam, lo, step, n, K)
+        want_nonnodal, want_nodal, scale = _direct_amplitudes(f, lam, lo + step * np.arange(n))
+        assert np.max(np.abs(nonnodal - want_nonnodal)) <= 1e-12 * scale
+        assert np.max(np.abs(nodal - want_nodal)) <= 1e-12 * scale
+
+    @settings(max_examples=10, deadline=None)
+    @given(p0=momenta, x0=positions, tau=st.floats(-80.0, 80.0), lam=st.sampled_from(ChargeSign))
+    def test_one_tau_overlap_equals_direct_sum(self, p0, x0, tau, lam):
+        f = _on_block(GaussianState(p0, x0, K).field(), lam)
+        want_nonnodal, want_nodal, scale = _direct_amplitudes(f, lam, np.array([tau]))
+        got_nonnodal = toa_overlap(f, Parity.NONNODAL, tau, K, lam)
+        got_nodal = toa_overlap(f, Parity.NODAL, tau, K, lam)
+        assert abs(got_nonnodal - want_nonnodal[0]) <= 1e-12 * scale
+        assert abs(got_nodal - want_nodal[0]) <= 1e-12 * scale
 
 
 class TestParabolicRefinement:
