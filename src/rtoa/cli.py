@@ -1,20 +1,24 @@
 """Command-line entry point.
 
-One subcommand per computation surface:
+One subcommand per computation surface, each writing one format:
 
-    verify-algebra   exact conjugate operator and its commutator residual
-    verify-spectral  JSON report of the numerical operator identities
-    eigenfunction    sampled eigenfunction as CSV
-    density-grid     space-time probability density as CSV (+ gnuplot)
-    toa-dist         arrival-time distribution as CSV or JSON (+ gnuplot)
-    limits           non-relativistic limit report as JSON
+    verify-algebra   exact conjugate operator and its commutator residual (text)
+    verify-spectral  report of the numerical operator identities (JSON)
+    eigenfunction    sampled eigenfunction (CSV)
+    density-grid     space-time probability density (CSV)
+    toa-dist         arrival-time distribution (CSV, or JSON with --format json)
+    limits           non-relativistic limit report (JSON)
+
+With --emit-plot-script and --out, density-grid and toa-dist also write
+a gnuplot script to ``<out>.gp``.  --emit-plot-script anywhere else, and
+--format json on a subcommand that writes CSV or text, are refused.
 
 Configuration precedence is CLI flags > config file (--config, a flat
 JSON document) > built-in defaults; the effective configuration is
 echoed to stderr and embedded in every emitted file.  Runs are fully
 deterministic: identical invocations produce byte-identical files.
-Exit codes: 0 success, 1 validation failure, 2 numerical-convergence
-failure.
+Exit codes: 0 success, 1 validation failure (non-finite numbers
+included), 2 numerical-convergence failure.
 """
 
 from __future__ import annotations
@@ -86,24 +90,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite(text: str) -> float:
+    """argparse type for a float option; inf and nan are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rtoa", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--m0", type=float)
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
-    parser.add_argument("--q-max", type=float, dest="q_max")
+    parser.add_argument("--hbar", type=_finite)
+    parser.add_argument("--c", type=_finite)
+    parser.add_argument("--m0", type=_finite)
+    parser.add_argument("--abs-tol", type=_finite, dest="abs_tol")
+    parser.add_argument("--rel-tol", type=_finite, dest="rel_tol")
+    parser.add_argument("--q-max", type=_finite, dest="q_max")
     parser.add_argument("--max-subdivisions", type=int, dest="max_subdivisions")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument(
+        "--format", choices=["csv", "json"], help="csv or json for toa-dist; json for the reports"
+    )
     parser.add_argument(
         "--emit-plot-script",
         action="store_const",
         const=True,
         default=None,
-        help="write a gnuplot script next to the data file",
+        help="density-grid and toa-dist CSV with --out only: also write a gnuplot script "
+        "to <out>.gp",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -119,33 +137,33 @@ def _build_parser() -> _Parser:
     eig = sub.add_parser("eigenfunction", help="sample an eigenfunction to CSV")
     eig.add_argument("--lambda", dest="lam", type=int, choices=[1, -1], default=1)
     eig.add_argument("--branch", choices=["nonnodal", "nodal"], default="nonnodal")
-    eig.add_argument("--tau", type=float, required=True)
-    eig.add_argument("--time", type=float, default=0.0)
-    eig.add_argument("--pmin", type=float, default=-8.0)
-    eig.add_argument("--pmax", type=float, default=8.0)
+    eig.add_argument("--tau", type=_finite, required=True)
+    eig.add_argument("--time", type=_finite, default=0.0)
+    eig.add_argument("--pmin", type=_finite, default=-8.0)
+    eig.add_argument("--pmax", type=_finite, default=8.0)
     eig.add_argument("--n", type=int, default=1001)
 
     dg = sub.add_parser("density-grid", help="space-time density grid to CSV")
     dg.add_argument("--branch", choices=["nonnodal", "nodal"], required=True)
-    dg.add_argument("--tau", type=float, required=True)
-    dg.add_argument("--xmin", type=float, required=True)
-    dg.add_argument("--xmax", type=float, required=True)
+    dg.add_argument("--tau", type=_finite, required=True)
+    dg.add_argument("--xmin", type=_finite, required=True)
+    dg.add_argument("--xmax", type=_finite, required=True)
     dg.add_argument("--nx", type=int, required=True)
-    dg.add_argument("--tmin", type=float, required=True)
-    dg.add_argument("--tmax", type=float, required=True)
+    dg.add_argument("--tmin", type=_finite, required=True)
+    dg.add_argument("--tmax", type=_finite, required=True)
     dg.add_argument("--nt", type=int, required=True)
-    dg.add_argument("--epsilon", type=float)
+    dg.add_argument("--epsilon", type=_finite)
     dg.add_argument("--extrapolate", action="store_true")
 
     td = sub.add_parser("toa-dist", help="arrival-time distribution for a Gaussian state")
-    td.add_argument("--p0", type=float, required=True)
-    td.add_argument("--x0", type=float, required=True)
-    td.add_argument("--tau-min", type=float, dest="tau_min")
-    td.add_argument("--tau-max", type=float, dest="tau_max")
+    td.add_argument("--p0", type=_finite, required=True)
+    td.add_argument("--x0", type=_finite, required=True)
+    td.add_argument("--tau-min", type=_finite, dest="tau_min")
+    td.add_argument("--tau-max", type=_finite, dest="tau_max")
     td.add_argument("--n-tau", type=int, dest="n_tau", default=2001)
 
     lm = sub.add_parser("limits", help="non-relativistic limit report as JSON")
-    lm.add_argument("--c-ladder", type=float, nargs="+", default=[10.0, 100.0, 1000.0])
+    lm.add_argument("--c-ladder", type=_finite, nargs="+", default=[10.0, 100.0, 1000.0])
 
     return parser
 
@@ -176,17 +194,21 @@ def _load_config(args) -> RunConfig:
     cfg["epsilon"], cfg["epsilon_ladder"] = epsilon, ladder
     constants = PhysConstants(**{f.name: cfg[f.name] for f in fields(PhysConstants)})
     quad = QuadratureConfig(**{f.name: cfg[f.name] for f in fields(QuadratureConfig)})
-    return RunConfig(
+    run = RunConfig(
         constants=constants,
         quadrature=quad,
         out=cfg["out"],
         format=cfg["format"],
         emit_plot_script=bool(cfg["emit_plot_script"]),
     )
-
-
-def _echo_config(cfg: RunConfig) -> None:
-    print("# effective config: " + json.dumps(cfg.snapshot, sort_keys=True), file=sys.stderr)
+    if run.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, not {run.format!r}")
+    if run.format == "json" and args.command not in _JSON_COMMANDS:
+        raise ValueError(f"--format json: {args.command} does not write JSON")
+    plot_ok = args.command in _PLOT_COMMANDS and run.out and run.format == "csv"
+    if run.emit_plot_script and not plot_ok:
+        raise ValueError("--emit-plot-script needs --out and CSV from density-grid or toa-dist")
+    return run
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -209,12 +231,26 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _config_comment_lines(cfg: RunConfig) -> list[str]:
-    return [f"# config: {json.dumps(cfg.snapshot, sort_keys=True)}"]
-
-
 def _fmt(x: float) -> str:
     return repr(float(x) + 0.0)  # + 0.0 folds negative zero
+
+
+def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_fields) -> None:
+    """The one CSV layout: the config and meta comment lines, a header of
+    the column names, then one row per sample, each cell as ``_fmt``
+    writes it.  With --emit-plot-script, ``plot`` formatted with the CSV's
+    file name and ``plot_fields`` goes to ``<out>.gp``."""
+    config = f"# config: {json.dumps(cfg.snapshot, sort_keys=True)}"
+    rows = (np.column_stack(list(columns.values())) + 0.0).tolist()  # + 0.0 as in _fmt
+    lines = [config, *meta_lines, ",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+    _emit(cfg, "\n".join(lines) + "\n")
+    if cfg.emit_plot_script:
+        _write_atomic(cfg.out + ".gp", plot.format(csv=os.path.basename(cfg.out), **plot_fields))
+
+
+def _emit_json(cfg: RunConfig, doc: dict) -> None:
+    """The one JSON report layout: ``doc`` plus the effective config."""
+    _emit(cfg, json.dumps({**doc, "config": cfg.snapshot}, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:
@@ -453,8 +489,7 @@ def spectral_report(cfg: RunConfig, full: bool = False) -> dict:
 
 def cmd_verify_spectral(cfg: RunConfig, args) -> int:
     report = spectral_report(cfg, full=args.full)
-    report["config"] = cfg.snapshot
-    _emit(cfg, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit_json(cfg, report)
     return 0 if report["pass"] else 2
 
 
@@ -467,16 +502,14 @@ def cmd_eigenfunction(cfg: RunConfig, args) -> int:
         raise ValueError("need n >= 2")
     grid = np.linspace(args.pmin, args.pmax, args.n)
     upper, lower = eigenfunction_momentum(spec, args.time, grid, k)
-    lines = _config_comment_lines(cfg)
-    lines.append("p,re_upper,im_upper,re_lower,im_lower")
-    for i in range(grid.size):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (grid[i], upper[i].real, upper[i].imag, lower[i].real, lower[i].imag)
-            )
-        )
-    _emit(cfg, "\n".join(lines) + "\n")
+    columns = {
+        "p": grid,
+        "re_upper": upper.real,
+        "im_upper": upper.imag,
+        "re_lower": lower.real,
+        "im_lower": lower.imag,
+    }
+    _emit_csv(cfg, [], columns)
     return 0
 
 
@@ -505,18 +538,15 @@ def cmd_density_grid(cfg: RunConfig, args) -> int:
         cfg.quadrature,
         extrapolate=args.extrapolate,
     )
-    lines = _config_comment_lines(cfg)
-    lines.append(f"# branch: {args.branch}  tau: {_fmt(args.tau)}  extrapolated: {grid.extrapolated}")
+    meta = [f"# branch: {args.branch}  tau: {_fmt(args.tau)}  extrapolated: {grid.extrapolated}"]
     if grid.flagged:
-        lines.append("# flagged_cells: " + ";".join(f"{i},{j}" for i, j in grid.flagged))
-    lines.append("x,t,P")
-    for i, t in enumerate(grid.t_samples):
-        for j, x in enumerate(grid.x_samples):
-            lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(grid.values[i, j])}")
-    _emit(cfg, "\n".join(lines) + "\n")
-    if cfg.emit_plot_script and cfg.out:
-        script = _DENSITY_PLOT.format(nt=args.nt, nx=args.nx, csv=os.path.basename(cfg.out))
-        _write_atomic(cfg.out + ".gp", script)
+        meta.append("# flagged_cells: " + ";".join(f"{i},{j}" for i, j in grid.flagged))
+    columns = {  # row-major in (t, x): x cycles fastest
+        "x": np.tile(grid.x_samples, args.nt),
+        "t": np.repeat(grid.t_samples, args.nx),
+        "P": grid.values.ravel(),
+    }
+    _emit_csv(cfg, meta, columns, _DENSITY_PLOT, nt=args.nt, nx=args.nx)
     return 0
 
 
@@ -550,52 +580,22 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
         tau_mp = most_probable_tau(dist)
     except RangeBoundaryError:
         tau_mp = None
-    window_integral = dist.integral()  # mass inside the tau window
-
+    meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": tau_mp, "window_integral": dist.integral()}
+    columns = {
+        "tau": dist.tau_samples,
+        "pi_total": dist.pi_values,
+        "pi_nonnodal": dist.pi_nonnodal,
+        "pi_nodal": dist.pi_nodal,
+    }
     if cfg.format == "json":
-        payload = {
-            "config": cfg.snapshot,
-            "state": {"p0": args.p0, "x0": args.x0},
-            "tau_mp": tau_mp,
-            "t_class": t_class,
-            "t_ph": t_ph,
-            "window_integral": window_integral,
-            "grid": {
-                "tau_min": float(dist.tau_samples[0]),
-                "tau_max": float(dist.tau_samples[-1]),
-                "n_tau": int(dist.tau_samples.size),
-            },
-            "tau": [float(v) for v in dist.tau_samples],
-            "pi_total": [float(v) for v in dist.pi_values],
-            "pi_nonnodal": [float(v) for v in dist.pi_nonnodal],
-            "pi_nodal": [float(v) for v in dist.pi_nodal],
-        }
-        _emit(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        taus = dist.tau_samples
+        grid = {"tau_min": float(taus[0]), "tau_max": float(taus[-1]), "n_tau": int(taus.size)}
+        lists = {name: column.tolist() for name, column in columns.items()}
+        _emit_json(cfg, {"state": {"p0": args.p0, "x0": args.x0}, **meta, "grid": grid, **lists})
     else:
-        lines = _config_comment_lines(cfg)
-        lines.append(
-            f"# p0: {_fmt(args.p0)}  x0: {_fmt(args.x0)}  t_ph: {_fmt(t_ph)}"
-            + (f"  t_class: {_fmt(t_class)}" if t_class is not None else "")
-            + (f"  tau_mp: {_fmt(tau_mp)}" if tau_mp is not None else "")
-            + f"  window_integral: {_fmt(window_integral)}"
-        )
-        lines.append("tau,pi_total,pi_nonnodal,pi_nodal")
-        for i in range(dist.tau_samples.size):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        dist.tau_samples[i],
-                        dist.pi_values[i],
-                        dist.pi_nonnodal[i],
-                        dist.pi_nodal[i],
-                    )
-                )
-            )
-        _emit(cfg, "\n".join(lines) + "\n")
-        if cfg.emit_plot_script and cfg.out:
-            script = _DIST_PLOT.format(t_ph=_fmt(t_ph), csv=os.path.basename(cfg.out))
-            _write_atomic(cfg.out + ".gp", script)
+        header = {"p0": args.p0, "x0": args.x0, **meta}
+        line = "# " + "  ".join(f"{n}: {_fmt(v)}" for n, v in header.items() if v is not None)
+        _emit_csv(cfg, [line], columns, _DIST_PLOT, t_ph=_fmt(t_ph))
     return 0
 
 
@@ -604,7 +604,7 @@ def cmd_limits(cfg: RunConfig, args) -> int:
     if len(ladder) < 2:
         raise ValueError("need at least two distinct ladder speeds")
     result = check_nonrel_operator(cfg.constants, ladder)
-    _emit(cfg, json.dumps({"config": cfg.snapshot, **result}, indent=2, sort_keys=True) + "\n")
+    _emit_json(cfg, result)
     ok = result["decreasing"] and result["t11_scales_as_inverse_c2"] and result["tm11_equals_minus_m0"]
     return 0 if ok else 2
 
@@ -617,6 +617,8 @@ _COMMANDS = {
     "toa-dist": cmd_toa_dist,
     "limits": cmd_limits,
 }
+_JSON_COMMANDS = frozenset({"verify-spectral", "limits", "toa-dist"})
+_PLOT_COMMANDS = frozenset({"density-grid", "toa-dist"})
 
 
 def dispatch(argv=None) -> int:
@@ -624,7 +626,7 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        _echo_config(cfg)
+        print("# effective config: " + json.dumps(cfg.snapshot, sort_keys=True), file=sys.stderr)
         return _COMMANDS[args.command](cfg, args)
     except QuadratureConvergenceError as exc:
         print(f"rtoa: numerical convergence failure: {exc}", file=sys.stderr)

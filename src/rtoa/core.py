@@ -144,7 +144,7 @@ def inner_product_phi(a: SpinorField, b: SpinorField) -> complex:
     """
     _require_same_grid(a, b)
     integrand = np.conj(a.upper) * b.upper - np.conj(a.lower) * b.lower
-    return complex(np.trapezoid(integrand, a.grid))
+    return complex(np.sum(trapezoid_weights(a.grid) * integrand))
 
 
 def charge_density(f: SpinorField) -> np.ndarray:

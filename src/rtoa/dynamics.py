@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChargeSign, PhysConstants
+from .core import PhysConstants
 from .errors import RangeBoundaryError
 from .quadrature import (
     QuadratureConfig,
@@ -213,8 +213,6 @@ class DensityGrid:
     x_samples: np.ndarray
     t_samples: np.ndarray
     values: np.ndarray
-    spec: EigenSpec
-    config: QuadratureConfig
     extrapolated: bool = False
     flagged: tuple[tuple[int, int], ...] = ()
 
@@ -258,8 +256,7 @@ def density_grid(
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
     values, converged = _density_mesh(branch, tau, xs, ts, k, q, epsilons, strict=False)
     flagged = tuple((int(i), int(j)) for i, j in np.argwhere(~converged))
-    spec = EigenSpec(ChargeSign.POSITIVE, branch, tau)
-    return DensityGrid(xs, ts, values, spec, q, extrapolated=extrapolate, flagged=flagged)
+    return DensityGrid(xs, ts, values, extrapolated=extrapolate, flagged=flagged)
 
 
 def psi_representation_eigenfunction(

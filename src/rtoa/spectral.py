@@ -230,6 +230,9 @@ def apply_hamiltonian(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spi
 # One rung below 0.05 is required for the extrapolated overlap to track
 # the closed form to 1e-3 at |tau - tau'| = 0.5.
 OVERLAP_EPSILON_LADDER = (0.2, 0.1, 0.05, 0.025)
+OVERLAP_QUADRATURE = QuadratureConfig(
+    epsilon=OVERLAP_EPSILON_LADDER[0], epsilon_ladder=OVERLAP_EPSILON_LADDER
+)
 
 
 def overlap(
@@ -256,14 +259,13 @@ def overlap_numeric(
     s1: EigenSpec,
     s2: EigenSpec,
     k: PhysConstants = PhysConstants(),
-    q: QuadratureConfig | None = None,
 ) -> complex:
     """Validation route for the smooth part of :func:`overlap`.
 
     Evaluates the defining momentum integral under exp(-eps E_p / m0c^2)
-    damping for each rung of the epsilon ladder and extrapolates the
-    ladder to zero.  The coinciding-times case has no smooth part to
-    estimate and is refused.
+    damping for each rung of OVERLAP_EPSILON_LADDER, with the tolerances
+    of OVERLAP_QUADRATURE, and extrapolates the ladder to zero.  The
+    coinciding-times case has no smooth part to estimate and is refused.
     """
     if s1.lam is not s2.lam or s1.parity is not s2.parity:
         return 0.0 + 0.0j
@@ -271,10 +273,7 @@ def overlap_numeric(
         raise DivergentOverlapError(
             "equal eigenvalues: only the distributional part survives"
         )
-    if q is None:
-        q = QuadratureConfig(
-            epsilon=OVERLAP_EPSILON_LADDER[0], epsilon_ladder=OVERLAP_EPSILON_LADDER
-        )
+    q = OVERLAP_QUADRATURE
     lam = int(s1.lam)
     dt = s1.tau - s2.tau
     omega = lam * dt / k.hbar

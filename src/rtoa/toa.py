@@ -206,9 +206,6 @@ class ToaDistribution:
     pi_values: np.ndarray
     pi_nonnodal: np.ndarray
     pi_nodal: np.ndarray
-    p0: float
-    x0: float
-    constants: PhysConstants
 
     def __post_init__(self):
         for name in ("tau_samples", "pi_values", "pi_nonnodal", "pi_nodal"):
@@ -245,29 +242,25 @@ def toa_distribution(
             raise ValueError("constants k differ from the Gaussian state's own")
         kk = state.k
         field = state.field()
-        p0, x0 = state.p0, state.x0
         lam = state.lam
+        if tau_range is None:
+            tau_range = default_tau_range(state.p0, state.x0, kk)
     else:
         if k is None:
             raise ValueError("sampled states need explicit constants")
         if np.any(state.upper) and np.any(state.lower):
             raise ValueError("sampled state occupies both charge blocks; pass one block at a time")
+        if tau_range is None:
+            raise ValueError("tau_range is required for sampled states")
         kk = k
         field = state
-        p0 = x0 = math.nan
         lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
-    if tau_range is None:
-        if not isinstance(state, GaussianState):
-            raise ValueError("tau_range is required for sampled states")
-        tau_range = default_tau_range(p0, x0, kk)
     lo, hi = tau_range
     taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below
 
     amplitudes = _branch_amplitudes(field, lam, lo, (hi - lo) / (n_tau - 1), n_tau, kk)
     nonnodal, nodal = (np.abs(a) ** 2 for a in amplitudes)
-    return ToaDistribution(
-        taus, nonnodal + nodal, nonnodal, nodal, p0, x0, kk
-    )
+    return ToaDistribution(taus, nonnodal + nodal, nonnodal, nodal)
 
 
 def default_tau_range(

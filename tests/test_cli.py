@@ -9,6 +9,10 @@ import pytest
 
 from rtoa import cli
 from rtoa.cli import dispatch
+from rtoa.core import ChargeSign
+from rtoa.dynamics import density_grid
+from rtoa.spectral import EigenSpec, Parity, eigenfunction_momentum
+from rtoa.toa import gaussian_state, toa_distribution
 
 
 def run(capsys, *argv):
@@ -278,6 +282,175 @@ class TestConfigHandling:
         assert dispatch(argv) == 0
         assert out.read_bytes() == first
         capsys.readouterr()
+
+
+def csv_table(text):
+    """Column name -> list of cell strings of one CSV the CLI wrote."""
+    header, *rows = [l for l in text.splitlines() if not l.startswith("#")]
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
+class TestWriters:
+    """Every cell the CLI writes parses back to exactly the library's value,
+    negative zero is folded, and the two toa-dist formats carry the same
+    columns bit for bit."""
+
+    def test_toa_dist_csv_and_json_carry_identical_columns(self, tmp_path, capsys):
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"dist.{fmt}"
+            code, _, _ = run(
+                capsys,
+                "--out", str(out), "--format", fmt,
+                "toa-dist", "--p0", "2", "--x0", "-7", "--n-tau", "151",
+            )
+            assert code == 0
+            texts[fmt] = out.read_text()
+        table = csv_table(texts["csv"])
+        payload = json.loads(texts["json"])
+        dist = toa_distribution(gaussian_state(2.0, -7.0), None, 151)
+        library = {
+            "tau": dist.tau_samples,
+            "pi_total": dist.pi_values,
+            "pi_nonnodal": dist.pi_nonnodal,
+            "pi_nodal": dist.pi_nodal,
+        }
+        assert list(table) == list(library)
+        for name, values in library.items():
+            assert [float(c) for c in table[name]] == payload[name] == values.tolist()
+
+    def test_eigenfunction_cells_match_the_library(self, tmp_path, capsys):
+        out = tmp_path / "eig.csv"
+        code, _, _ = run(
+            capsys,
+            "--out", str(out),
+            "eigenfunction", "--lambda", "-1", "--tau", "1", "--time", "0.3",
+            "--pmin", "-3", "--pmax", "3", "--n", "41",
+        )
+        assert code == 0
+        table = csv_table(out.read_text())
+        spec = EigenSpec(ChargeSign.NEGATIVE, Parity.NONNODAL, 1.0)
+        grid = np.linspace(-3.0, 3.0, 41)
+        upper, lower = eigenfunction_momentum(spec, 0.3, grid)
+        library = {
+            "p": grid,
+            "re_upper": upper.real,
+            "im_upper": upper.imag,
+            "re_lower": lower.real,
+            "im_lower": lower.imag,
+        }
+        assert list(table) == list(library)
+        for name, values in library.items():
+            assert [float(c) for c in table[name]] == values.tolist()
+        # the empty upper block is 0 * amplitude, -0.0 wherever the amplitude is negative
+        assert np.signbit(upper.real).any() or np.signbit(upper.imag).any()
+        assert not any(c == "-0.0" for column in table.values() for c in column)
+
+    def test_density_grid_cells_match_the_library(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code, _, _ = run(
+            capsys,
+            "--out", str(out),
+            "density-grid", "--branch", "nodal", "--tau", "0.5",
+            "--xmin", "-2", "--xmax", "2", "--nx", "5",
+            "--tmin", "0", "--tmax", "1", "--nt", "3",
+        )
+        assert code == 0
+        table = csv_table(out.read_text())
+        grid = density_grid(Parity.NODAL, 0.5, (-2.0, 2.0), (0.0, 1.0), 5, 3)
+        rows = [tuple(map(float, cells)) for cells in zip(table["x"], table["t"], table["P"])]
+        assert rows == [
+            (x, t, grid.values[i, j])
+            for i, t in enumerate(grid.t_samples.tolist())
+            for j, x in enumerate(grid.x_samples.tolist())
+        ]
+        assert [p for x, _, p in rows if x == 0.0] == [0.0, 0.0, 0.0]
+        assert not any(c == "-0.0" for column in table.values() for c in column)
+
+
+DENSITY_ARGV = [
+    "density-grid", "--branch", "nonnodal", "--tau", "0.5",
+    "--xmin", "-1", "--xmax", "1", "--nx", "3", "--tmin", "0", "--tmax", "1", "--nt", "2",
+]
+TOA_ARGV = ["toa-dist", "--p0", "3", "--x0", "-7", "--n-tau", "21"]
+EIG_ARGV = ["eigenfunction", "--tau", "0.5", "--n", "5"]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("computation ran although a flag was refused")
+
+
+class TestRefusedFlags:
+    """A flag that would change nothing is refused before any computation,
+    with exit 1 and no file written."""
+
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        computations = ("density_grid", "toa_distribution", "eigenfunction_momentum", "check_nonrel_operator")
+        for name in computations:
+            monkeypatch.setattr(cli, name, _never_called)
+        monkeypatch.setattr(cli.algebra, "solve_conjugate_ansatz", _never_called)
+
+    @pytest.mark.parametrize(
+        "flags, argv",
+        [
+            (["--format", "json"], DENSITY_ARGV),
+            (["--format", "json"], EIG_ARGV),
+            (["--format", "json"], ["verify-algebra"]),
+            (["--emit-plot-script"], DENSITY_ARGV),  # no --out
+            (["--emit-plot-script"], TOA_ARGV),  # no --out
+            (["--emit-plot-script", "--format", "json", "--out", "{out}"], TOA_ARGV),
+            (["--emit-plot-script", "--out", "{out}"], EIG_ARGV),
+            (["--emit-plot-script", "--out", "{out}"], ["limits"]),
+            (["--emit-plot-script", "--out", "{out}"], ["verify-algebra"]),
+        ],
+    )
+    def test_flag_refused(self, tmp_path, capsys, flags, argv):
+        out = tmp_path / "data"
+        flags = [f.format(out=out) for f in flags]
+        code, stdout, err = run(capsys, *flags, *argv)
+        assert code == 1
+        assert "rtoa: error:" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({"format": "json"}, DENSITY_ARGV),
+            ({"emit_plot_script": True}, EIG_ARGV),
+            ({"emit_plot_script": True, "format": "json"}, TOA_ARGV),
+            ({"format": "xml"}, TOA_ARGV),
+        ],
+    )
+    def test_config_file_values_refused_the_same_way(self, tmp_path, capsys, doc, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "--config", str(cfg), "--out", str(out), *argv)
+        assert code == 1
+        assert "rtoa: error:" in err
+        assert not out.exists() and not (tmp_path / "data.gp").exists()
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toa-dist", "--p0", "3", "--x0", "inf"],
+            ["eigenfunction", "--tau", "1", "--time", "nan"],
+            ["toa-dist", "--p0", "3", "--x0", "-7", "--tau-min", "0", "--tau-max", "inf"],
+            ["limits", "--c-ladder", "10", "inf"],
+            ["--hbar", "nan", "verify-algebra"],
+        ],
+    )
+    def test_refused_at_the_boundary(self, tmp_path, capsys, argv):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["--out", str(out), *argv])
+        assert exc.value.code == 1
+        assert "need a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -211,8 +211,6 @@ class TestDensityGrid:
                 np.array([0.0, 1.0]),
                 np.array([0.0, 1.0]),
                 np.array([[0.0, -1.0], [0.0, 0.0]]),
-                EigenSpec(POS, Parity.NONNODAL, 0.5),
-                Q,
             )
 
 

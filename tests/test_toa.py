@@ -139,9 +139,6 @@ class TestDistribution:
                 np.array([1.0, -0.5]),
                 np.array([1.0, 0.0]),
                 np.array([0.0, -0.5]),
-                3.0,
-                -7.0,
-                K,
             )
 
     def test_most_probable_above_photon_time(self):
@@ -158,9 +155,7 @@ class TestDistribution:
             most_probable_tau(d)  # peak sits near 7.4, outside the window
 
     def test_single_sample(self):
-        d = ToaDistribution(
-            np.array([2.5]), np.array([1.0]), np.array([0.6]), np.array([0.4]), 1.0, 0.0, K
-        )
+        d = ToaDistribution(np.array([2.5]), np.array([1.0]), np.array([0.6]), np.array([0.4]))
         assert most_probable_tau(d) == 2.5
 
     def test_sampled_state_entry_point(self):
@@ -300,5 +295,5 @@ class TestParabolicRefinement:
     def test_recovers_offgrid_vertex(self):
         taus = np.linspace(0.0, 4.0, 41)
         vals = -((taus - 1.717) ** 2) + 3.0
-        d = ToaDistribution(taus, vals - vals.min(), vals - vals.min(), np.zeros_like(vals), 1.0, 0.0, K)
+        d = ToaDistribution(taus, vals - vals.min(), vals - vals.min(), np.zeros_like(vals))
         assert most_probable_tau(d) == pytest.approx(1.717, abs=1e-12)
