@@ -11,7 +11,7 @@ One subcommand per computation surface, each writing one format:
 
 With --emit-plot-script and --out, density-grid and toa-dist also write
 a gnuplot script to ``<out>.gp``.  --emit-plot-script anywhere else, and
---format json on a subcommand that writes CSV or text, are refused.
+a --format the subcommand does not write, are refused.
 
 Configuration precedence is CLI flags > config file (--config, a flat
 JSON document) > built-in defaults; the effective configuration is
@@ -78,7 +78,8 @@ class RunConfig:
         }
 
 
-CONFIG_DEFAULTS = RunConfig(PhysConstants(), QuadratureConfig(), None, "csv", False).snapshot
+# format None: the subcommand's own, the first of its _FORMATS entry
+CONFIG_DEFAULTS = RunConfig(PhysConstants(), QuadratureConfig(), None, None, False).snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,11 +128,7 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("verify-algebra", help="print the solved operator and commutator residual")
 
-    vs = sub.add_parser(
-        "verify-spectral",
-        help="JSON report of operator identity checks; its fixtures are tuned to hbar = c = m0 = 1, "
-        "and other constants can fail a check and exit 2",
-    )
+    vs = sub.add_parser("verify-spectral", help="JSON report of operator identity checks")
     vs.add_argument("--full", action="store_true", help="run the slow completeness ladder too")
 
     eig = sub.add_parser("eigenfunction", help="sample an eigenfunction to CSV")
@@ -194,17 +191,17 @@ def _load_config(args) -> RunConfig:
     cfg["epsilon"], cfg["epsilon_ladder"] = epsilon, ladder
     constants = PhysConstants(**{f.name: cfg[f.name] for f in fields(PhysConstants)})
     quad = QuadratureConfig(**{f.name: cfg[f.name] for f in fields(QuadratureConfig)})
+    formats = _FORMATS.get(args.command, ("csv",))
+    fmt = formats[0] if cfg["format"] is None else cfg["format"]
+    if fmt not in formats:
+        raise ValueError(f"format {fmt!r}: {args.command} writes {' or '.join(formats)}")
     run = RunConfig(
         constants=constants,
         quadrature=quad,
         out=cfg["out"],
-        format=cfg["format"],
+        format=fmt,
         emit_plot_script=bool(cfg["emit_plot_script"]),
     )
-    if run.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, not {run.format!r}")
-    if run.format == "json" and args.command not in _JSON_COMMANDS:
-        raise ValueError(f"--format json: {args.command} does not write JSON")
     plot_ok = args.command in _PLOT_COMMANDS and run.out and run.format == "csv"
     if run.emit_plot_script and not plot_ok:
         raise ValueError("--emit-plot-script needs --out and CSV from density-grid or toa-dist")
@@ -379,13 +376,13 @@ def check_symmetry(k: PhysConstants, states) -> dict:
 def check_overlap(k: PhysConstants) -> dict:
     """Criterion 5: the closed-form smooth part of <tau|0> against the
     damped momentum integral, for both charges and both parities at
-    tau = 0.5, 1, 2, 5, and the exact zeros between charge sectors and
-    between parities."""
-    errors = []
+    tau = 0.5, 1, 2, 5 hbar / (m0 c^2), and the exact zeros between charge
+    sectors and between parities."""
+    errors, unit_time = [], k.hbar / k.rest_energy
     for lam in (ChargeSign.POSITIVE, ChargeSign.NEGATIVE):
         for dt in (0.5, 1.0, 2.0, 5.0):
             for parity in (Parity.NONNODAL, Parity.NODAL):
-                s1, s2 = EigenSpec(lam, parity, dt), EigenSpec(lam, parity, 0.0)
+                s1, s2 = EigenSpec(lam, parity, dt * unit_time), EigenSpec(lam, parity, 0.0)
                 ana = overlap(s1, s2, k).regular_part
                 errors.append(abs(overlap_numeric(s1, s2, k) - ana) / abs(ana))
     worst = max(errors)
@@ -408,12 +405,12 @@ def check_overlap(k: PhysConstants) -> dict:
 
 def check_completeness(k: PhysConstants, ladder) -> dict:
     """Criterion 6: the tau family resolves the identity on the Gaussian
-    packet p0 = 3, x0 = 0, sampled on 2049 points over p0 +- 5 m0 c.  The
-    error for each (T, dtau) of ``ladder`` must fall, and the last must be
-    below 1e-2."""
-    state = gaussian_state(3.0, 0.0, k)
-    f = state.field(np.linspace(3.0 - 5.0 * k.momentum_scale, 3.0 + 5.0 * k.momentum_scale, 2049))
-    errs = [completeness_check(f, T, dt, k) for T, dt in ladder]
+    packet p0 = 3 m0 c, x0 = 0, sampled on 2049 points over p0 +- 5 m0 c.
+    The error for each (T, dtau) of ``ladder``, in units of hbar / (m0 c^2),
+    must fall, and the last must be below 1e-2."""
+    mc, unit_time = k.momentum_scale, k.hbar / k.rest_energy
+    f = gaussian_state(3.0 * mc, 0.0, k).field(np.linspace(-2.0 * mc, 8.0 * mc, 2049))
+    errs = [completeness_check(f, T * unit_time, dt * unit_time, k) for T, dt in ladder]
     return {
         "settings": ladder,
         "errors": errs,
@@ -617,7 +614,8 @@ _COMMANDS = {
     "toa-dist": cmd_toa_dist,
     "limits": cmd_limits,
 }
-_JSON_COMMANDS = frozenset({"verify-spectral", "limits", "toa-dist"})
+# the formats a subcommand writes, its default first; the others write CSV or text
+_FORMATS = {"verify-spectral": ("json",), "limits": ("json",), "toa-dist": ("csv", "json")}
 _PLOT_COMMANDS = frozenset({"density-grid", "toa-dist"})
 
 

@@ -304,6 +304,41 @@ def overlap_numeric(
     return complex(lam * smooth)
 
 
+# tau samples per block of an amplitude sum: the (block x n_p) table of
+# in-block phases is built once per call and shared by every block
+_TAU_CHUNK = 256
+
+
+def amplitude_blocks(base, p, e, lam: int, k: PhysConstants, tau0: float, step: float, n: int):
+    """The branch sums S_j = sum_p base(p) [1, sgn p] exp(i lam tau_j E_p / hbar)
+    over the momentum grid ``p`` (energies ``e``), on the uniform grid
+    tau_j = tau0 + j step, j < n, one block of tau at a time.  Yields
+    (start, rows, start_phase, S[start : start + len(rows)]), where
+    exp(i lam tau_j E_p / hbar) = start_phase * rows[j - start], so a
+    caller can reuse a block's rows.
+
+    The phases are never formed one by one.  The in-block rows
+    exp(i lam j step E / hbar), j < _TAU_CHUNK, are built by doubling
+    (rows [m, 2m) are rows [0, m) times the row at j = m), and each
+    block's start phase is folded into the two columns, so a block is one
+    (rows x n_p) @ (n_p x 2) product and a call takes about
+    log2(_TAU_CHUNK) + n / _TAU_CHUNK exponential rows."""
+    rate = (1j * lam / k.hbar) * e  # phase per unit tau
+    columns = np.stack([base, base * np.sign(p)], axis=1)
+    block = min(n, _TAU_CHUNK)
+    rows = np.empty((block, p.size), dtype=complex)
+    rows[0] = 1.0
+    m = 1
+    while m < block:
+        size = min(m, block - m)
+        np.multiply(rows[:size], np.exp(rate * (m * step)), out=rows[m : m + size])
+        m += size
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        start_phase = np.exp(rate * (tau0 + start * step))
+        yield start, rows[:size], start_phase, rows[:size] @ (columns * start_phase[:, None])
+
+
 def completeness_check(
     test_fn: SpinorField,
     tau_window: float,
@@ -315,19 +350,16 @@ def completeness_check(
     family.
 
     Projects ``test_fn`` onto every branch over tau in
-    [-tau_window, tau_window] (step ``tau_step``), resums, and returns
-    the relative L2 reconstruction error.  The error decreases as the
-    window grows and the step shrinks.
+    [-tau_window, tau_window] (step ``tau_step``), resums with the
+    trapezoid tau weights, and returns the relative L2 reconstruction
+    error.  The error decreases as the window grows and the step shrinks.
 
-    The trapezoid sum over the n tau samples, step h = 2T / (n - 1), is
-    done in closed form: with omega = (E_p - E_p') / hbar,
-
-        sum_j w_j exp(i lambda omega tau_j) = h sin(omega T) cot(omega h / 2)
-
-    (2T where E_p = E_p', which p and -p always share), one real kernel
-    for both charge blocks.  The time ``t`` enters as the phase
-    exp(-i lambda E_p t / hbar) on each side, and the two parity branches
-    add to the factor 1 + sgn(p) sgn(p'), applied as two mat-vecs.
+    Both halves use the rows of :func:`amplitude_blocks`.  Analysis: the
+    projections <phi_tau, f> are the conjugated branch sums of
+    conj(f) times the time-``t`` phase exp(-i lam E_p t / hbar).
+    Synthesis: sum_j w_j phi_tau_j(p) <phi_tau_j, f> is the same block's
+    rows, transposed, onto the weighted projections, times its start
+    phase; no further exponentials are formed.
     """
     if tau_window <= 0.0 or tau_step <= 0.0:
         raise ValueError("tau window and step must be positive")
@@ -335,22 +367,10 @@ def completeness_check(
     wp = trapezoid_weights(grid)
     n_tau = int(round(2.0 * tau_window / tau_step)) + 1
     h = 2.0 * tau_window / (n_tau - 1)
+    wt = h * trapezoid_weights(np.arange(n_tau, dtype=float))
     e = energy(grid, k)
     mod = eigen_amplitude_modulus(grid, e, k)
     sgn = np.sign(grid)
-
-    kernel = np.subtract.outer(e, e)  # omega, then the tau sum, in place
-    kernel /= k.hbar
-    same = kernel == 0.0
-    half = kernel * (0.5 * h)
-    np.tan(half, out=half)
-    kernel *= tau_window
-    np.sin(kernel, out=kernel)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel /= half
-    del half
-    kernel *= h
-    kernel[same] = 2.0 * tau_window
 
     recon = []
     for lam, component in ((1, test_fn.upper), (-1, test_fn.lower)):
@@ -358,9 +378,12 @@ def completeness_check(
             recon.append(np.zeros_like(component))
             continue
         phase = np.exp((-1j * lam * t / k.hbar) * e)
-        v = np.conj(phase) * wp * mod * component
-        cols = np.stack([v, sgn * v], axis=1)
-        out = kernel @ cols.real + 1j * (kernel @ cols.imag)
+        base = wp * np.conj(component) * mod * phase
+        out = np.zeros((grid.size, 2), dtype=complex)
+        blocks = amplitude_blocks(base, grid, e, lam, k, -tau_window, h, n_tau)
+        for start, rows, start_phase, sums in blocks:
+            weighted = wt[start : start + len(rows), None] * np.conj(sums)
+            out += start_phase[:, None] * (rows.T @ weighted)
         recon.append(phase * mod * (out[:, 0] + sgn * out[:, 1]))
 
     num = np.sqrt(

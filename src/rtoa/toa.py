@@ -35,7 +35,7 @@ from .errors import (
     RangeBoundaryError,
     StateTruncationError,
 )
-from .spectral import Parity, eigen_amplitude_modulus
+from .spectral import Parity, amplitude_blocks, eigen_amplitude_modulus
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
@@ -132,47 +132,22 @@ def _check_edge_decay(grid: np.ndarray, amp: np.ndarray) -> None:
         )
 
 
-# tau samples per block of the amplitude sum: the (block x n_p) table of
-# in-block phases is built once per call and shared by every block
-_TAU_CHUNK = 256
-
-
 def _branch_amplitudes(
     field: SpinorField, lam: ChargeSign, tau0: float, step: float, n: int, k: PhysConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps <state, eigenfunction(lam, branch, tau)> on the uniform
     grid tau_j = tau0 + j step, j < n, as (nonnodal, nodal) arrays: the
     trapezoid sum over the momentum grid of the block ``lam``, which must
-    hold the state's amplitude.
-
-    The phases exp(i lam tau_j E / hbar) are never formed one by one.
-    The in-block rows exp(i lam j step E / hbar), j < _TAU_CHUNK, are
-    built by doubling (rows [m, 2m) are rows [0, m) times the row at
-    j = m), and each block's start phase exp(i lam tau_s E / hbar) is
-    folded into the two amplitude columns, so a block is one
-    (rows x n_p) @ (n_p x 2) product and a call takes about
-    log2(_TAU_CHUNK) + n / _TAU_CHUNK exponential rows."""
+    hold the state's amplitude, taken by :func:`spectral.amplitude_blocks`
+    (the sums whose conjugates are the projections of
+    ``completeness_check``)."""
     grid = field.grid
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     _check_edge_decay(grid, amp)
-    w = trapezoid_weights(grid)
     e = energy(grid, k)
-    rate = (1j * int(lam) / k.hbar) * e  # phase per unit tau
-    base = w * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
-    columns = np.stack([base, base * np.sign(grid)], axis=1)
-    block = min(n, _TAU_CHUNK)
-    rows = np.empty((block, grid.size), dtype=complex)
-    rows[0] = 1.0
-    m = 1
-    while m < block:
-        size = min(m, block - m)
-        np.multiply(rows[:size], np.exp(rate * (m * step)), out=rows[m : m + size])
-        m += size
-    out = np.empty((n, 2), dtype=complex)
-    for start in range(0, n, block):
-        size = min(block, n - start)
-        start_phase = np.exp(rate * (tau0 + start * step))
-        out[start : start + size] = rows[:size] @ (columns * start_phase[:, None])
+    base = trapezoid_weights(grid) * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
+    blocks = amplitude_blocks(base, grid, e, int(lam), k, tau0, step, n)
+    out = np.concatenate([sums for *_, sums in blocks])
     return out[:, 0], out[:, 1]
 
 

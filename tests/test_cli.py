@@ -70,6 +70,15 @@ class TestVerifySpectral:
         assert report["pass"] is False
         assert report["checks"]["overlap"] == failed
 
+    # the fixtures are given in units of hbar / (m0 c^2) and m0 c
+    @pytest.mark.parametrize("constant", [["--hbar", "2"], ["--m0", "0.5"], ["--c", "3"]])
+    def test_passes_at_other_constants(self, tmp_path, capsys, constant):
+        out = tmp_path / "spectral.json"
+        code, _, _ = run(capsys, *constant, "--out", str(out), "verify-spectral")
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["format"] == "json"
+
 
 class TestEigenfunctionCsv:
     def test_csv_columns_and_config_header(self, tmp_path, capsys):
@@ -234,6 +243,7 @@ class TestLimits:
         assert payload["tm11_equals_minus_m0"] is True
         devs = payload["eigenfunction_deviation"]
         assert devs[0] > devs[1] > devs[2]
+        assert payload["config"]["format"] == "json"
 
 
 class TestConfigHandling:
@@ -386,7 +396,13 @@ class TestRefusedFlags:
 
     @pytest.fixture(autouse=True)
     def no_computation(self, monkeypatch):
-        computations = ("density_grid", "toa_distribution", "eigenfunction_momentum", "check_nonrel_operator")
+        computations = (
+            "density_grid",
+            "toa_distribution",
+            "eigenfunction_momentum",
+            "check_nonrel_operator",
+            "spectral_report",
+        )
         for name in computations:
             monkeypatch.setattr(cli, name, _never_called)
         monkeypatch.setattr(cli.algebra, "solve_conjugate_ansatz", _never_called)
@@ -403,6 +419,8 @@ class TestRefusedFlags:
             (["--emit-plot-script", "--out", "{out}"], EIG_ARGV),
             (["--emit-plot-script", "--out", "{out}"], ["limits"]),
             (["--emit-plot-script", "--out", "{out}"], ["verify-algebra"]),
+            (["--format", "csv"], ["limits"]),
+            (["--format", "csv"], ["verify-spectral"]),
         ],
     )
     def test_flag_refused(self, tmp_path, capsys, flags, argv):
@@ -421,6 +439,8 @@ class TestRefusedFlags:
             ({"emit_plot_script": True}, EIG_ARGV),
             ({"emit_plot_script": True, "format": "json"}, TOA_ARGV),
             ({"format": "xml"}, TOA_ARGV),
+            ({"format": "csv"}, ["limits"]),
+            ({"format": "csv"}, ["verify-spectral"]),
         ],
     )
     def test_config_file_values_refused_the_same_way(self, tmp_path, capsys, doc, argv):

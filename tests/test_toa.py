@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rtoa import toa
+from rtoa import spectral, toa
 from rtoa.core import ChargeSign, PhysConstants, energy, momentum_grid, trapezoid_weights
 from rtoa.errors import (
     ClassicalTimeUndefinedError,
@@ -289,6 +289,26 @@ class TestPhaseRecurrence:
         got_nodal = toa_overlap(f, Parity.NODAL, tau, K, lam)
         assert abs(got_nonnodal - want_nonnodal[0]) <= 1e-12 * scale
         assert abs(got_nodal - want_nodal[0]) <= 1e-12 * scale
+
+
+    def test_completeness_projects_with_the_same_sums(self, monkeypatch):
+        # completeness_check's projections are the conjugated sums of the
+        # one routine Pi(tau) uses, so at t = 0 they equal the overlaps
+        f = GaussianState(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 1025))
+        seen, blocks = [], spectral.amplitude_blocks
+
+        def recording(*args):
+            for block in blocks(*args):
+                seen.append(block[3].copy())
+                yield block
+
+        monkeypatch.setattr(spectral, "amplitude_blocks", recording)
+        spectral.completeness_check(f, 25.0, 0.1, K)
+        projections = np.conj(np.concatenate(seen))
+        nonnodal, nodal = toa._branch_amplitudes(f, ChargeSign.POSITIVE, -25.0, 0.1, 501, K)
+        assert projections.shape == (501, 2)
+        assert np.conj(projections[:, 0]).tobytes() == nonnodal.tobytes()
+        assert np.conj(projections[:, 1]).tobytes() == nodal.tobytes()
 
 
 class TestParabolicRefinement:
