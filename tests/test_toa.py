@@ -290,7 +290,6 @@ class TestPhaseRecurrence:
         assert abs(got_nonnodal - want_nonnodal[0]) <= 1e-12 * scale
         assert abs(got_nodal - want_nodal[0]) <= 1e-12 * scale
 
-
     def test_completeness_projects_with_the_same_sums(self, monkeypatch):
         # completeness_check's projections are the conjugated sums of the
         # one routine Pi(tau) uses, so at t = 0 they equal the overlaps
