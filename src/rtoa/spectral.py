@@ -304,39 +304,33 @@ def overlap_numeric(
     return complex(lam * smooth)
 
 
-# tau samples per block of an amplitude sum: the (block x n_p) table of
-# in-block phases is built once per call and shared by every block
-_TAU_CHUNK = 256
-
-
-def amplitude_blocks(base, p, e, lam: int, k: PhysConstants, tau0: float, step: float, n: int):
-    """The branch sums S_j = sum_p base(p) [1, sgn p] exp(i lam tau_j E_p / hbar)
-    over the momentum grid ``p`` (energies ``e``), on the uniform grid
-    tau_j = tau0 + j step, j < n, one block of tau at a time.  Yields
-    (start, rows, start_phase, S[start : start + len(rows)]), where
-    exp(i lam tau_j E_p / hbar) = start_phase * rows[j - start], so a
-    caller can reuse a block's rows.
-
-    The phases are never formed one by one.  The in-block rows
-    exp(i lam j step E / hbar), j < _TAU_CHUNK, are built by doubling
-    (rows [m, 2m) are rows [0, m) times the row at j = m), and each
-    block's start phase is folded into the two columns, so a block is one
-    (rows x n_p) @ (n_p x 2) product and a call takes about
-    log2(_TAU_CHUNK) + n / _TAU_CHUNK exponential rows."""
+def amplitude_sums(base, p, e, lam: int, k: PhysConstants, tau0: float, step: float, n: int):
+    """Sums S_j = sum of base(p) exp(i lam tau_j E_p / hbar) over each sign
+    half, p < 0 and p >= 0, of the increasing grid ``p`` (energies ``e``),
+    for tau_j = tau0 + j step, j < n.  ``base`` vanishes at p = 0, so the
+    non-nodal branch sum is S(p >= 0) + S(p < 0), the nodal one their
+    difference.  With j = s B + i and B = isqrt(n), the phase factors into
+    rows[i] = exp(i lam i step E / hbar), i < B, times
+    starts[s] = exp(i lam (tau0 + s B step) E / hbar), s < ceil(n / B).
+    Both tables are built by doubling, about log2 n ``exp`` rows in all,
+    and a half's sums are one product (starts * base) @ rows.T: over both
+    halves, n n_p complex multiply-adds plus fewer than B n_p of padding.
+    Returns (half, rows, starts, sums) per half: the slice of ``p``, the
+    tables on it, and sums shaped (ceil(n / B), B) with ravel()[:n] = S."""
+    b = math.isqrt(n)
     rate = (1j * lam / k.hbar) * e  # phase per unit tau
-    columns = np.stack([base, base * np.sign(p)], axis=1)
-    block = min(n, _TAU_CHUNK)
-    rows = np.empty((block, p.size), dtype=complex)
-    rows[0] = 1.0
-    m = 1
-    while m < block:
-        size = min(m, block - m)
-        np.multiply(rows[:size], np.exp(rate * (m * step)), out=rows[m : m + size])
-        m += size
-    for start in range(0, n, block):
-        size = min(block, n - start)
-        start_phase = np.exp(rate * (tau0 + start * step))
-        yield start, rows[:size], start_phase, rows[:size] @ (columns * start_phase[:, None])
+    tables = np.empty((b + -(-n // b), p.size), dtype=complex)
+    rows, starts = tables[:b], tables[b:]
+    for table, first, delta in ((rows, 1.0, step), (starts, np.exp(rate * tau0), b * step)):
+        table[0] = first
+        m = 1
+        while m < len(table):  # doubling: rows [m, 2m) are rows [0, m) times the row at m
+            size = min(m, len(table) - m)
+            np.multiply(table[:size], np.exp(rate * (m * delta)), out=table[m : m + size])
+            m += size
+    cut = int(np.searchsorted(p, 0.0))
+    halves = (slice(0, cut), slice(cut, p.size))
+    return [(h, rows[:, h], starts[:, h], (starts[:, h] * base[h]) @ rows[:, h].T) for h in halves]
 
 
 def completeness_check(
@@ -354,12 +348,14 @@ def completeness_check(
     trapezoid tau weights, and returns the relative L2 reconstruction
     error.  The error decreases as the window grows and the step shrinks.
 
-    Both halves use the rows of :func:`amplitude_blocks`.  Analysis: the
-    projections <phi_tau, f> are the conjugated branch sums of
+    Both halves run on :func:`amplitude_sums`, per sign half of the grid.
+    Analysis: the projections <phi_tau, f> are the conjugated sums of
     conj(f) times the time-``t`` phase exp(-i lam E_p t / hbar).
-    Synthesis: sum_j w_j phi_tau_j(p) <phi_tau_j, f> is the same block's
-    rows, transposed, onto the weighted projections, times its start
-    phase; no further exponentials are formed.
+    Synthesis: sum_j w_j phi_tau_j(p) <phi_tau_j, f> on a half is
+    2 sum_s starts[s] (C @ rows)[s], C[s, i] = w_j conj(S_j) at
+    j = s B + i: the transposed product, as many multiply-adds again on
+    the same tables, with no further ``exp`` and no temporary above
+    ceil(n / B) grid rows.
     """
     if tau_window <= 0.0 or tau_step <= 0.0:
         raise ValueError("tau window and step must be positive")
@@ -370,7 +366,6 @@ def completeness_check(
     wt = h * trapezoid_weights(np.arange(n_tau, dtype=float))
     e = energy(grid, k)
     mod = eigen_amplitude_modulus(grid, e, k)
-    sgn = np.sign(grid)
 
     recon = []
     for lam, component in ((1, test_fn.upper), (-1, test_fn.lower)):
@@ -379,12 +374,12 @@ def completeness_check(
             continue
         phase = np.exp((-1j * lam * t / k.hbar) * e)
         base = wp * np.conj(component) * mod * phase
-        out = np.zeros((grid.size, 2), dtype=complex)
-        blocks = amplitude_blocks(base, grid, e, lam, k, -tau_window, h, n_tau)
-        for start, rows, start_phase, sums in blocks:
-            weighted = wt[start : start + len(rows), None] * np.conj(sums)
-            out += start_phase[:, None] * (rows.T @ weighted)
-        recon.append(phase * mod * (out[:, 0] + sgn * out[:, 1]))
+        out = np.empty(grid.size, dtype=complex)
+        for half, rows, starts, sums in amplitude_sums(base, grid, e, lam, k, -tau_window, h, n_tau):
+            coef = np.zeros(sums.size, dtype=complex)  # the padded tail has no tau weight
+            coef[:n_tau] = wt * np.conj(sums.ravel()[:n_tau])
+            out[half] = np.einsum("sp,sp->p", starts, coef.reshape(sums.shape) @ rows)
+        recon.append(2.0 * phase * mod * out)
 
     num = np.sqrt(
         np.sum(wp * np.abs(recon[0] - test_fn.upper) ** 2)

@@ -35,7 +35,7 @@ from .errors import (
     RangeBoundaryError,
     StateTruncationError,
 )
-from .spectral import Parity, amplitude_blocks, eigen_amplitude_modulus
+from .spectral import Parity, amplitude_sums, eigen_amplitude_modulus
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
@@ -137,18 +137,19 @@ def _branch_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps <state, eigenfunction(lam, branch, tau)> on the uniform
     grid tau_j = tau0 + j step, j < n, as (nonnodal, nodal) arrays: the
-    trapezoid sum over the momentum grid of the block ``lam``, which must
-    hold the state's amplitude, taken by :func:`spectral.amplitude_blocks`
-    (the sums whose conjugates are the projections of
-    ``completeness_check``)."""
+    trapezoid sums over the momentum grid of the block ``lam``, which must
+    hold the state's amplitude.  They are the half sums of
+    :func:`spectral.amplitude_sums` (about log2 n ``exp`` rows, n n_p
+    complex multiply-adds), added for the non-nodal branch and subtracted
+    for the nodal one; their conjugates are the projections of
+    ``completeness_check``."""
     grid = field.grid
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     _check_edge_decay(grid, amp)
     e = energy(grid, k)
     base = trapezoid_weights(grid) * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
-    blocks = amplitude_blocks(base, grid, e, int(lam), k, tau0, step, n)
-    out = np.concatenate([sums for *_, sums in blocks])
-    return out[:, 0], out[:, 1]
+    neg, pos = (sums.ravel()[:n] for *_, sums in amplitude_sums(base, grid, e, int(lam), k, tau0, step, n))
+    return pos + neg, pos - neg
 
 
 def toa_overlap(
@@ -187,6 +188,8 @@ class ToaDistribution:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.all(np.isfinite(self.pi_values)):
+            raise ValueError("arrival-time density must be finite")
         if np.any(self.pi_values < 0.0):
             raise ValueError("arrival-time density must be nonnegative")
 
@@ -231,6 +234,8 @@ def toa_distribution(
         field = state
         lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
     lo, hi = tau_range
+    if not math.isfinite(hi - lo):
+        raise ValueError("tau window width must be finite")
     taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below
 
     amplitudes = _branch_amplitudes(field, lam, lo, (hi - lo) / (n_tau - 1), n_tau, kk)

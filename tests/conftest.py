@@ -2,10 +2,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from rtoa.core import Basis, Representation, SpinorField
+from rtoa.core import Basis, PhysConstants, Representation, SpinorField
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a run is reproducible.  Hypothesis still caches the literals
@@ -15,6 +15,10 @@ settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="rtoa-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+# (hbar, c, m0) away from the unit values, for the covariance properties
+constants = st.builds(PhysConstants, hbar=st.floats(0.3, 3.0), c=st.floats(0.3, 3.0), m0=st.floats(0.3, 3.0))
 
 
 def bump(p, lo, hi):

@@ -472,6 +472,14 @@ class TestNonFiniteNumbers:
         assert "need a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_tau_window_refused(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        argv = ["toa-dist", "--p0", "3", "--x0", "-7", "--tau-min=-1e308", "--tau-max=1e308", "--n-tau", "11"]
+        code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert "rtoa: error: tau window width must be finite" in err
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rtoa import dynamics, quadrature
 from rtoa.core import ChargeSign, PhysConstants
@@ -22,6 +22,8 @@ from rtoa.dynamics import (
 )
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import EigenSpec, Parity
+
+from conftest import constants
 
 K = PhysConstants()
 Q = QuadratureConfig()
@@ -116,6 +118,20 @@ class TestDensity:
         f1, f2 = f_integrals(Parity.NONNODAL, 0.5, 0.7, 0.2, K, Q)
         d = density(Parity.NONNODAL, 0.5, 0.7, 0.2, K, Q)
         assert d == pytest.approx((f1 * f1 + f2 * f2) / (2.0 * math.pi**2), rel=1e-12)
+
+    # x in units of hbar / (m0 c) and t, tau in units of hbar / (m0 c^2): the
+    # branch integrals are dimensionless, so only the prefactor scales
+    @settings(max_examples=6, deadline=None)
+    @given(k=constants, branch=st.sampled_from(Parity))
+    @example(k=PhysConstants(hbar=2.0, c=1.0, m0=1.0), branch=Parity.NONNODAL)
+    @example(k=PhysConstants(hbar=1.0, c=3.0, m0=1.0), branch=Parity.NODAL)
+    @example(k=PhysConstants(hbar=0.7, c=1.3, m0=0.5), branch=Parity.NONNODAL)
+    def test_density_scales_with_the_natural_units(self, k, branch):
+        length, time = k.hbar / k.momentum_scale, k.hbar / k.rest_energy
+        for tau, x, t in ((1.0, 0.3, 1.2), (0.5, -2.0, 0.2), (1.0, 0.7, 3.0)):
+            want = k.m0**2 * k.c**3 / k.hbar**2 * density(branch, tau, x, t, K, Q)
+            got = density(branch, tau * time, x * length, t * time, k, Q)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_epsilon_ladder_stabilizes_off_the_light_cone(self):
         # The regulated density has no eps -> 0 limit on the light cone

@@ -25,7 +25,7 @@ from rtoa.toa import (
     toa_overlap,
 )
 
-from conftest import phi_field
+from conftest import constants, phi_field
 
 K = PhysConstants()
 
@@ -140,6 +140,17 @@ class TestDistribution:
                 np.array([1.0, 0.0]),
                 np.array([0.0, -0.5]),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ToaDistribution(np.array([0.0, 1.0]), np.array([1.0, bad]), np.array([1.0, bad]), np.zeros(2))
+
+    @pytest.mark.parametrize("window", [(-1e308, 1e308), (-5e307, 5e307)])
+    def test_window_too_wide_for_finite_phases_refused(self, window):
+        # the first width overflows; the second is finite, but its phases are not
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+            toa_distribution(gaussian_state(3.0, -7.0, K), window, 11)
 
     def test_most_probable_above_photon_time(self):
         d = toa_distribution(gaussian_state(3.0, -7.0, K), n_tau=801)
@@ -263,8 +274,9 @@ def _direct_amplitudes(field, lam, taus):
 
 
 class TestPhaseRecurrence:
-    # block edges of the 256-row phase table, and the CLI's default n_tau
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 2001])
+    # edges of the square-root split j = s isqrt(n) + i: n below 4 (one-row
+    # blocks), around and at a square, and the CLI's default n_tau
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 2001, 2025])
     @settings(max_examples=4, deadline=None)
     @given(p0=momenta, x0=positions, lo=st.floats(-80.0, 80.0), width=st.floats(0.01, 80.0),
            lam=st.sampled_from(ChargeSign))
@@ -294,20 +306,36 @@ class TestPhaseRecurrence:
         # completeness_check's projections are the conjugated sums of the
         # one routine Pi(tau) uses, so at t = 0 they equal the overlaps
         f = GaussianState(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 1025))
-        seen, blocks = [], spectral.amplitude_blocks
+        seen, amplitude_sums = [], spectral.amplitude_sums
 
         def recording(*args):
-            for block in blocks(*args):
-                seen.append(block[3].copy())
-                yield block
+            halves = amplitude_sums(*args)
+            seen.append([sums.ravel()[:501].copy() for *_, sums in halves])
+            return halves
 
-        monkeypatch.setattr(spectral, "amplitude_blocks", recording)
+        monkeypatch.setattr(spectral, "amplitude_sums", recording)
         spectral.completeness_check(f, 25.0, 0.1, K)
-        projections = np.conj(np.concatenate(seen))
+        [(neg, pos)] = seen  # the lower block is empty, so one call
         nonnodal, nodal = toa._branch_amplitudes(f, ChargeSign.POSITIVE, -25.0, 0.1, 501, K)
-        assert projections.shape == (501, 2)
-        assert np.conj(projections[:, 0]).tobytes() == nonnodal.tobytes()
-        assert np.conj(projections[:, 1]).tobytes() == nodal.tobytes()
+        assert (pos + neg).tobytes() == nonnodal.tobytes()
+        assert (pos - neg).tobytes() == nodal.tobytes()
+
+
+class TestCovariance:
+    # p0 in units of m0 c and x0 in units of hbar / (m0 c): Pi is a density
+    # in tau, so it scales with the time unit hbar / (m0 c^2)
+    @settings(max_examples=6, deadline=None)
+    @given(k=constants, p0=momenta, x0=positions)
+    @example(k=PhysConstants(hbar=2.0, c=1.0, m0=1.0), p0=3.0, x0=-7.0)
+    @example(k=PhysConstants(hbar=1.0, c=3.0, m0=1.0), p0=3.0, x0=-7.0)
+    @example(k=PhysConstants(hbar=0.7, c=1.3, m0=0.5), p0=-0.3, x0=8.0)
+    def test_pi_scales_with_the_natural_time_unit(self, k, p0, x0):
+        unit = k.hbar / k.rest_energy
+        lo, hi = default_tau_range(p0, x0, K)
+        d1 = toa_distribution(GaussianState(p0, x0, K), (lo, hi), 401)
+        state = GaussianState(p0 * k.momentum_scale, x0 * k.hbar / k.momentum_scale, k)
+        dk = toa_distribution(state, (lo * unit, hi * unit), 401)
+        assert _close(dk.pi_values * unit, d1.pi_values, 1e-13)
 
 
 class TestParabolicRefinement:

@@ -7,6 +7,7 @@ import inspect
 import types
 from pathlib import Path
 
+from rtoa import toa
 from rtoa.spectral import completeness_check
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,3 +31,15 @@ def test_completeness_keeps_the_parameter_names_the_tracer_binds():
         "tau_window",
         "tau_step",
     ]
+
+
+def test_toa_distribution_keeps_the_parameter_names_the_tracer_binds():
+    assert {"state", "n_tau"} <= set(inspect.signature(toa.toa_distribution).parameters)
+
+
+def test_toa_distribution_looks_up_energy_in_its_own_module(monkeypatch):
+    # the tracer's core.energy span on the arrival-times workload wraps this name
+    calls, energy = [], toa.energy
+    monkeypatch.setattr(toa, "energy", lambda *args: calls.append(args) or energy(*args))
+    toa.toa_distribution(toa.gaussian_state(3.0, -7.0), (5.0, 10.0), 11)
+    assert len(calls) == 1
