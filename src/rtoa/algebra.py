@@ -17,9 +17,8 @@ together with linear independence of the T[m,n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import PhysConstants
 from .errors import WindowInfeasibleError
@@ -207,23 +206,6 @@ def pauli_commutator(a: PauliCoeff, b: PauliCoeff) -> PauliCoeff:
     return pauli_mul(a, b) - pauli_mul(b, a)
 
 
-def pauli_anticommutator(a: PauliCoeff, b: PauliCoeff) -> PauliCoeff:
-    return pauli_mul(a, b) + pauli_mul(b, a)
-
-
-@dataclass(frozen=True)
-class BDTerm:
-    """One basis term: a matrix coefficient attached to T[m,n]."""
-
-    m: int
-    n: int
-    coeff: PauliCoeff
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("basis terms with n < 0 are not supported")
-
-
 class BDOperator:
     """Finite sum of matrix-valued T[m,n] terms, kept in canonical form:
     no stored zero coefficients."""
@@ -240,34 +222,14 @@ class BDOperator:
                     clean[(int(m), int(n))] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> "BDOperator":
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, m: int, n: int) -> PauliCoeff:
         return self.terms.get((m, n), PauliCoeff())
 
-    def add_term(self, m: int, n: int, coeff: PauliCoeff) -> "BDOperator":
-        if not coeff:
-            return self
-        new = dict(self.terms)
-        total = new.get((m, n), PauliCoeff()) + coeff
-        if total:
-            new[(m, n)] = total
-        else:
-            new.pop((m, n), None)
-        out = BDOperator.__new__(BDOperator)
-        out.terms = new
-        return out
-
     def __add__(self, other: "BDOperator") -> "BDOperator":
-        out = self
-        for (m, n), coeff in other.terms.items():
-            out = out.add_term(m, n, coeff)
-        return out
+        return _summed([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "BDOperator") -> "BDOperator":
         return self + other.scale(-1)
@@ -290,26 +252,26 @@ class BDOperator:
         return f"BDOperator({{{inner}}})"
 
 
-def p2_left(t: BDTerm, hbar: RationalLike = 1) -> BDOperator:
-    """Expansion of p^2 T[m,n] in the T basis."""
-    return _p2_expand(t, hbar, right=False)
+def _summed(pairs: Iterable[tuple[tuple[int, int], PauliCoeff]]) -> BDOperator:
+    """The operator sum of ``((m, n), coeff)`` pairs, zero totals dropped."""
+    terms: dict[tuple[int, int], PauliCoeff] = {}
+    for key, coeff in pairs:
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return BDOperator(terms)
 
 
-def p2_right(t: BDTerm, hbar: RationalLike = 1) -> BDOperator:
-    """Expansion of T[m,n] p^2 in the T basis (middle sign flips)."""
-    return _p2_expand(t, hbar, right=True)
-
-
-def _p2_expand(t: BDTerm, hbar: RationalLike, right: bool) -> BDOperator:
+def p2_expand(
+    m: int, n: int, hbar: RationalLike = 1, right: bool = False
+) -> dict[tuple[int, int], RC]:
+    """Scalar coefficients of p^2 T[m,n] in the T basis, or of T[m,n] p^2
+    with ``right`` (the middle sign flips)."""
     hbar = Fraction(hbar)
-    m, n, a = t.m, t.n, t.coeff
-    mid_sign = 1 if right else -1
-    op = BDOperator().add_term(m + 2, n, a)
+    out = {(m + 2, n): RC_ONE}
     if n >= 1:
-        op = op.add_term(m + 1, n - 1, a.scale(RC(0, mid_sign * hbar * n)))
+        out[(m + 1, n - 1)] = RC(0, (1 if right else -1) * hbar * n)
     if n >= 2:
-        op = op.add_term(m, n - 2, a.scale(RC(-Fraction(hbar**2 * n * (n - 1), 4))))
-    return op
+        out[(m, n - 2)] = RC(-Fraction(hbar**2 * n * (n - 1), 4))
+    return out
 
 
 def commutator_with_H(t: BDOperator, k: PhysConstants = PhysConstants()) -> BDOperator:
@@ -319,20 +281,14 @@ def commutator_with_H(t: BDOperator, k: PhysConstants = PhysConstants()) -> BDOp
     s32 = PauliCoeff(0, 0, RC_I, 1)  # sigma3 + i sigma2
     inv_2m0 = RC(Fraction(1, 2) / m0)
     mass = RC(m0 * c**2)
-    out = BDOperator()
+    pairs = []
     for (m, n), a in t.terms.items():
-        term = BDTerm(m, n, SIGMA_0)
-        left = _p2_expand(term, hbar, right=False)
-        right = _p2_expand(term, hbar, right=True)
-        sa = pauli_mul(s32, a)
-        as_ = pauli_mul(a, s32)
-        for (mm, nn), unit in left.terms.items():
-            # unit is sigma0-scalar; its c0 entry carries the expansion factor
-            out = out.add_term(mm, nn, sa.scale(unit.c[0] * inv_2m0))
-        for (mm, nn), unit in right.terms.items():
-            out = out.add_term(mm, nn, as_.scale(-unit.c[0] * inv_2m0))
-        out = out.add_term(m, n, pauli_commutator(SIGMA_3, a).scale(mass))
-    return out
+        sa = pauli_mul(s32, a).scale(inv_2m0)
+        as_ = pauli_mul(a, s32).scale(-inv_2m0)
+        pairs += [(key, sa.scale(x)) for key, x in p2_expand(m, n, hbar).items()]
+        pairs += [(key, as_.scale(x)) for key, x in p2_expand(m, n, hbar, right=True).items()]
+        pairs.append(((m, n), pauli_commutator(SIGMA_3, a).scale(mass)))
+    return _summed(pairs)
 
 
 def identity_times_ihbar(k: PhysConstants = PhysConstants()) -> BDOperator:
@@ -384,13 +340,9 @@ def solve_conjugate_ansatz(
     hbar, c, m0 = k.exact()
 
     def s(m: int, n: int) -> RC:
-        if not (-max_m <= m <= max_m and 0 <= n <= max_n):
-            return RC_ZERO
-        if n >= 1 and m == -1 and n == 1:
-            return RC(-m0 / n)
-        return RC_ZERO
+        return RC(-m0) if (m, n) == (-1, 1) else RC_ZERO
 
-    op = BDOperator()
+    terms = {}
     denom = RC(0, m0 * c**2)  # i m0 c^2
     for m in range(-max_m, max_m + 1):
         for n in range(1, max_n + 1):
@@ -398,9 +350,8 @@ def solve_conjugate_ansatz(
                 Fraction(hbar**2 * (n + 2) * (n + 1), 8) / m0
             )
             alpha2 = -lhs / denom
-            alpha3 = s(m, n) - RC_I * alpha2
-            coeff = PauliCoeff(0, 0, alpha2, alpha3)
-            op = op.add_term(m, n, coeff)
+            terms[(m, n)] = PauliCoeff(0, 0, alpha2, s(m, n) - RC_I * alpha2)
+    op = BDOperator(terms)
 
     if commutator_with_H(op, k) != identity_times_ihbar(k):
         raise WindowInfeasibleError(

@@ -167,7 +167,6 @@ def _build_parser() -> _Parser:
 
 def _load_config(args) -> RunConfig:
     cfg = dict(CONFIG_DEFAULTS)
-    loaded = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -179,16 +178,7 @@ def _load_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    epsilon = float(cfg["epsilon"])
-    ladder = tuple(cfg["epsilon_ladder"])
-    if epsilon != ladder[0]:
-        if "epsilon_ladder" in loaded:
-            raise ValueError(
-                f"epsilon_ladder {list(ladder)} must start at epsilon {epsilon:g}"
-            )
-        # keep the default ladder anchored at the working regulator
-        ladder = tuple(epsilon * (0.5**i) for i in range(3))
-    cfg["epsilon"], cfg["epsilon_ladder"] = epsilon, ladder
+    cfg["epsilon"] = float(cfg["epsilon"])
     constants = PhysConstants(**{f.name: cfg[f.name] for f in fields(PhysConstants)})
     quad = QuadratureConfig(**{f.name: cfg[f.name] for f in fields(QuadratureConfig)})
     formats = _FORMATS.get(args.command, ("csv",))

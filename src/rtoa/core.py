@@ -65,15 +65,6 @@ class ChargeSign(enum.IntEnum):
     POSITIVE = 1
     NEGATIVE = -1
 
-    @property
-    def theta_upper(self) -> int:
-        """Heaviside weight of the upper component, Theta(lambda)."""
-        return 1 if self is ChargeSign.POSITIVE else 0
-
-    @property
-    def theta_lower(self) -> int:
-        return 1 if self is ChargeSign.NEGATIVE else 0
-
 
 class Representation(enum.Enum):
     SCHRODINGER_PSI = "psi"
@@ -121,10 +112,6 @@ class SpinorField:
         for arr, name in ((grid, "grid"), (upper, "upper"), (lower, "lower")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.grid.size
 
     def with_components(self, upper, lower) -> "SpinorField":
         """Same grid and tags, new component samples."""

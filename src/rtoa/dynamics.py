@@ -10,8 +10,9 @@ branches reduce to a pair of real one-dimensional integrals
 with K = cos for the non-nodal branch and K = sin for the nodal one,
 a = m0 c x / hbar and b = m0 c^2 (t - tau) / hbar.  The undamped
 integrals diverge; they are defined here only through the exp(-eps q)
-regulator (reported in all outputs), optionally extrapolated down an
-epsilon ladder.  The probability density
+regulator (reported in all outputs), optionally extrapolated to zero
+over the ladder (eps, eps/2, eps/4) that QuadratureConfig.epsilon_ladder
+derives from eps.  The probability density
 
     P(x, t) = m0^2 c^3 / (2 pi^2 hbar^2) * (f1^2 + f2^2)
 

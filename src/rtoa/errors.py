@@ -31,6 +31,11 @@ class StateTruncationError(ValueError):
     edges, so momentum integrals over the grid would be truncated."""
 
 
+class PhaseOverflowError(ValueError):
+    """A tau window so wide that the phases tau E_p / hbar of its
+    arrival-time amplitudes overflow."""
+
+
 class RangeBoundaryError(ValueError):
     """An extremum search hit the edge of the sampled range; the range
     is too small to bracket the feature."""

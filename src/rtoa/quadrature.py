@@ -83,30 +83,28 @@ class QuadratureConfig:
     """Controls for the regularized oscillatory integrals.
 
     ``epsilon`` is the exponential damping of the divergent integrands;
-    ``epsilon_ladder`` the strictly decreasing sequence used when
-    extrapolating the regulator away.  ``q_max`` may be left None, in
-    which case it resolves to max(50, 30/epsilon) so the damping factor
-    is below 1e-12 at the cutoff.  An explicit ``q_max`` is checked
-    against every regulator it is used with, so a ladder rung it would
-    cut while the damping is still >= 1e-12 is refused.
+    the regulator is extrapolated away over :attr:`epsilon_ladder`,
+    which is worked out from it.  ``q_max`` may be left None, in which
+    case it resolves to max(50, 30/epsilon) so the damping factor is
+    below 1e-12 at the cutoff.  An explicit ``q_max`` is checked against
+    every regulator it is used with, so a ladder rung it would cut while
+    the damping is still >= 1e-12 is refused.
     """
 
     epsilon: float = 0.3
-    epsilon_ladder: tuple[float, ...] = (0.3, 0.15, 0.075)
     q_max: float | None = None
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_subdivisions: int = 10_000
 
+    @property
+    def epsilon_ladder(self) -> tuple[float, float, float]:
+        """The regulators (epsilon, epsilon/2, epsilon/4) extrapolated to zero."""
+        return (self.epsilon, self.epsilon / 2, self.epsilon / 4)
+
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be > 0")
-        ladder = tuple(float(e) for e in self.epsilon_ladder)
-        if not ladder or any(e <= 0.0 for e in ladder):
-            raise ValueError("epsilon ladder entries must be > 0")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("epsilon ladder must be strictly decreasing")
-        object.__setattr__(self, "epsilon_ladder", ladder)
+        if not (self.epsilon_ladder[-1] > 0.0):
+            raise ValueError("epsilon must be > 0, and so must its last ladder rung epsilon/4")
         self.cutoff()  # refuses a q_max that does not damp epsilon
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")

@@ -104,21 +104,15 @@ def eigenfunction_momentum(
     """Both components at momentum ``p``: the block of the opposite
     charge sign is exactly zero."""
     amp = eigenfunction_scalar(spec, t, p, k)
-    return spec.lam.theta_upper * amp, spec.lam.theta_lower * amp
+    zeros = np.zeros_like(amp)
+    return (amp, zeros) if spec.lam is ChargeSign.POSITIVE else (zeros, amp)
 
 
 def eigenfunction_field(
     spec: EigenSpec, t: float, grid, k: PhysConstants = PhysConstants()
 ) -> SpinorField:
     upper, lower = eigenfunction_momentum(spec, t, grid, k)
-    zeros = np.zeros_like(np.asarray(grid, dtype=float), dtype=complex)
-    return SpinorField(
-        Representation.FESHBACH_VILLARS_PHI,
-        Basis.MOMENTUM,
-        grid,
-        upper if spec.lam is ChargeSign.POSITIVE else zeros,
-        lower if spec.lam is ChargeSign.NEGATIVE else zeros,
-    )
+    return SpinorField(Representation.FESHBACH_VILLARS_PHI, Basis.MOMENTUM, grid, upper, lower)
 
 
 def fornberg_weights(x0: float | np.ndarray, xs: np.ndarray, order: int) -> np.ndarray:
@@ -230,9 +224,6 @@ def apply_hamiltonian(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spi
 # One rung below 0.05 is required for the extrapolated overlap to track
 # the closed form to 1e-3 at |tau - tau'| = 0.5.
 OVERLAP_EPSILON_LADDER = (0.2, 0.1, 0.05, 0.025)
-OVERLAP_QUADRATURE = QuadratureConfig(
-    epsilon=OVERLAP_EPSILON_LADDER[0], epsilon_ladder=OVERLAP_EPSILON_LADDER
-)
 
 
 def overlap(
@@ -263,9 +254,11 @@ def overlap_numeric(
     """Validation route for the smooth part of :func:`overlap`.
 
     Evaluates the defining momentum integral under exp(-eps E_p / m0c^2)
-    damping for each rung of OVERLAP_EPSILON_LADDER, with the tolerances
-    of OVERLAP_QUADRATURE, and extrapolates the ladder to zero.  The
-    coinciding-times case has no smooth part to estimate and is refused.
+    damping for each rung of OVERLAP_EPSILON_LADDER, a fixed ladder of
+    its own rather than the one derived from a regulator, with the
+    default QuadratureConfig tolerances and cutoff rule, and extrapolates
+    the ladder to zero.  The coinciding-times case has no smooth part to
+    estimate and is refused.
     """
     if s1.lam is not s2.lam or s1.parity is not s2.parity:
         return 0.0 + 0.0j
@@ -273,14 +266,14 @@ def overlap_numeric(
         raise DivergentOverlapError(
             "equal eigenvalues: only the distributional part survives"
         )
-    q = OVERLAP_QUADRATURE
+    q = QuadratureConfig()
     lam = int(s1.lam)
     dt = s1.tau - s2.tau
     omega = lam * dt / k.hbar
     rest = k.rest_energy
 
     values = []
-    for eps in q.epsilon_ladder:
+    for eps in OVERLAP_EPSILON_LADDER:
         p_max = k.momentum_scale * q.cutoff(eps)
         half_period = math.pi / (abs(omega) * k.c) if omega != 0.0 else None
 
@@ -300,7 +293,7 @@ def overlap_numeric(
             n_out=2,
         )
         values.append((res.value[0] + 1j * res.value[1]) * k.c / (2.0 * math.pi * k.hbar))
-    smooth = extrapolate_to_zero(q.epsilon_ladder, values)
+    smooth = extrapolate_to_zero(OVERLAP_EPSILON_LADDER, values)
     return complex(lam * smooth)
 
 

@@ -32,6 +32,7 @@ from .core import (
 )
 from .errors import (
     ClassicalTimeUndefinedError,
+    PhaseOverflowError,
     RangeBoundaryError,
     StateTruncationError,
 )
@@ -147,6 +148,14 @@ def _branch_amplitudes(
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     _check_edge_decay(grid, amp)
     e = energy(grid, k)
+    # the phase tables form E_p tau0 / hbar and E_p t / hbar for offsets t
+    # up to the window width (n - 1) step
+    width = (n - 1) * abs(step)
+    if not math.isfinite(max(abs(tau0), width) * float(e.max()) / k.hbar):
+        raise PhaseOverflowError(
+            f"tau window [{tau0:g}, {tau0 + width:g}] is so wide that the phases "
+            "tau E_p / hbar are not finite"
+        )
     base = trapezoid_weights(grid) * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
     neg, pos = (sums.ravel()[:n] for *_, sums in amplitude_sums(base, grid, e, int(lam), k, tau0, step, n))
     return pos + neg, pos - neg

@@ -3,11 +3,12 @@ config precedence, determinism, and exit codes."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rtoa import cli
+from rtoa import cli, dynamics
 from rtoa.cli import dispatch
 from rtoa.core import ChargeSign
 from rtoa.dynamics import density_grid
@@ -269,17 +270,30 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown config keys" in err
 
-    def test_given_ladder_must_start_at_epsilon(self, tmp_path, capsys):
+    def test_epsilon_ladder_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": 0.2, "epsilon_ladder": [0.3, 0.15]}))
+        cfg.write_text(json.dumps({"epsilon": 0.2, "epsilon_ladder": [0.2, 0.1, 0.05]}))
         code, _, err = run(capsys, "--config", str(cfg), "verify-algebra")
         assert code == 1
-        assert "must start at epsilon" in err
-        # the default ladder is re-anchored at the working regulator
-        cfg.write_text(json.dumps({"epsilon": 0.2}))
-        code, _, err = run(capsys, "--config", str(cfg), "verify-algebra")
+        assert "unknown config keys: ['epsilon_ladder']" in err
+
+    def test_extrapolation_ladder_follows_epsilon(self, monkeypatch, capsys):
+        abscissae, extrapolate = [], dynamics.extrapolate_to_zero
+        monkeypatch.setattr(
+            dynamics,
+            "extrapolate_to_zero",
+            lambda xs, ys: abscissae.append(tuple(xs)) or extrapolate(xs, ys),
+        )
+        code, _, err = run(
+            capsys,
+            "density-grid", "--branch", "nonnodal", "--tau", "1",
+            "--xmin", "-1", "--xmax", "1", "--nx", "2",
+            "--tmin", "0", "--tmax", "2", "--nt", "2",
+            "--epsilon", "0.2", "--extrapolate",
+        )
         assert code == 0
-        assert '"epsilon_ladder": [0.2, 0.1, 0.05]' in err
+        assert abscissae == [(0.2, 0.1, 0.05)]
+        assert "epsilon_ladder" not in err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -352,8 +366,8 @@ class TestWriters:
         assert list(table) == list(library)
         for name, values in library.items():
             assert [float(c) for c in table[name]] == values.tolist()
-        # the empty upper block is 0 * amplitude, -0.0 wherever the amplitude is negative
-        assert np.signbit(upper.real).any() or np.signbit(upper.imag).any()
+        # the empty upper block is explicit zeros, with no -0.0 from 0 * amplitude
+        assert not np.signbit(upper.real).any() and not np.signbit(upper.imag).any()
         assert not any(c == "-0.0" for column in table.values() for c in column)
 
     def test_density_grid_cells_match_the_library(self, tmp_path, capsys):
@@ -473,12 +487,18 @@ class TestNonFiniteNumbers:
         assert not out.exists()
 
     def test_overflowing_tau_window_refused(self, tmp_path, capsys):
-        out = tmp_path / "data"
-        argv = ["toa-dist", "--p0", "3", "--x0", "-7", "--tau-min=-1e308", "--tau-max=1e308", "--n-tau", "11"]
-        code, stdout, err = run(capsys, "--out", str(out), *argv)
-        assert code == 1
-        assert "rtoa: error: tau window width must be finite" in err
-        assert stdout == "" and list(tmp_path.iterdir()) == []
+        # a window whose width overflows, and a finite one whose phases do
+        for half, reason in (("1e308", "width must be finite"), ("5e307", "phases tau E_p / hbar are not finite")):
+            out = tmp_path / "data"
+            argv = ["toa-dist", "--p0", "3", "--x0", "-7", f"--tau-min=-{half}", f"--tau-max={half}", "--n-tau", "11"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, stdout, err = run(capsys, "--out", str(out), *argv)
+            assert code == 1
+            assert err.splitlines()[-1].startswith("rtoa: error: tau window") and reason in err
+            assert "RuntimeWarning" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rtoa import quadrature
 from rtoa.errors import QuadratureConvergenceError
@@ -222,13 +223,17 @@ class TestConfig:
         assert q.cutoff(0.075) == pytest.approx(400.0)
         assert QuadratureConfig(epsilon=0.7).cutoff() == pytest.approx(50.0)
 
-    def test_ladder_validation(self):
+    @given(st.floats(1e-3, 10.0))
+    def test_ladder_starts_at_epsilon_and_decreases(self, epsilon):
+        ladder = QuadratureConfig(epsilon=epsilon).epsilon_ladder
+        assert ladder[0] == epsilon
+        assert all(b < a for a, b in zip(ladder, ladder[1:]))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.3, math.nan, 1e-323])
+    def test_epsilon_must_be_positive(self, epsilon):
+        # 1e-323 / 4 underflows to a zero regulator
         with pytest.raises(ValueError):
-            QuadratureConfig(epsilon_ladder=(0.1, 0.2))
-        with pytest.raises(ValueError):
-            QuadratureConfig(epsilon_ladder=(0.1, -0.05))
-        with pytest.raises(ValueError):
-            QuadratureConfig(epsilon=0.0)
+            QuadratureConfig(epsilon=epsilon)
 
     def test_explicit_qmax_must_damp(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps rtoa functions by
-name and binds some of their parameters by name.  These tests load it
-read-only, without writing bytecode next to it, so a rename that would only
-break a traced benchmark run fails here."""
+name and binds some of their parameters by name, and its gate
+(perfbench/gate.py) reads rtoa values and calls rtoa constructors.  These
+tests load the tracer read-only, without writing bytecode next to it, so a
+rename that would only break a benchmark run fails here."""
 
 import inspect
 import types
 from pathlib import Path
 
-from rtoa import toa
+import numpy as np
+
+from rtoa import core, toa
+from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import completeness_check
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +47,17 @@ def test_toa_distribution_looks_up_energy_in_its_own_module(monkeypatch):
     monkeypatch.setattr(toa, "energy", lambda *args: calls.append(args) or energy(*args))
     toa.toa_distribution(toa.gaussian_state(3.0, -7.0), (5.0, 10.0), 11)
     assert len(calls) == 1
+
+
+def test_gate_reads_the_default_epsilon_ladder():
+    # gate.check_pass sizes the density-ladder reference tolerance from it
+    assert QuadratureConfig().epsilon_ladder == (0.3, 0.15, 0.075)
+
+
+def test_spinor_field_takes_the_gates_positional_call():
+    # gate.conjugacy_residuals builds its states this way
+    grid = np.linspace(0.45, 5.05, 5)
+    f = core.SpinorField(
+        core.Representation.FESHBACH_VILLARS_PHI, core.Basis.MOMENTUM, grid, grid + 0j, 0.0 * grid
+    )
+    assert np.array_equal(f.grid, grid) and np.array_equal(f.upper, grid)
