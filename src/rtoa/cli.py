@@ -551,13 +551,9 @@ plot '{csv}' using 1:2 with lines title 'total', \\
 def cmd_toa_dist(cfg: RunConfig, args) -> int:
     k = cfg.constants
     state = gaussian_state(args.p0, args.x0, k)
-    tau_range = None
     if (args.tau_min is None) != (args.tau_max is None):
         raise ValueError("give both --tau-min and --tau-max or neither")
-    if args.tau_min is not None:
-        if not args.tau_min < args.tau_max:
-            raise ValueError("need tau-min < tau-max")
-        tau_range = (args.tau_min, args.tau_max)
+    tau_range = None if args.tau_min is None else (args.tau_min, args.tau_max)
     dist = toa_distribution(state, tau_range, args.n_tau)
     t_ph = photon_time(args.p0, args.x0, k)
     t_class = None

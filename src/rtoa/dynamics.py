@@ -18,6 +18,15 @@ derives from eps.  The probability density
 
 is independent of the charge sign, even in x and in t - tau, and for
 the nodal branch vanishes identically on the line x = 0.
+
+A density mesh is integrated on its mirror-symmetric part only.  An
+axis whose samples d (x, or t - tau) mirror themselves to roundoff,
+|d_j + d_(n-1-j)| <= 4 * machine epsilon * max|d|, is cut to its half
+with d >= 0, the centre sample included; an axis that does not keeps
+every sample.  The kept block is integrated (and a
+ladder extrapolated) as a mesh of its own, and each mirrored cell then
+takes the value and converged flag of its kept image, so a symmetric
+grid is bitwise symmetric.
 """
 
 from __future__ import annotations
@@ -137,6 +146,17 @@ def f_integrals(
 _MESH_CELLS = 1024
 
 
+def _fold(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, expand) for one mesh axis with offsets ``d`` from its
+    mirror point: d[kept] are the samples to integrate and kept[expand]
+    gives each sample's source, its mirror image on the d >= 0 half when
+    the axis mirrors itself and the sample itself otherwise."""
+    j = np.arange(d.size)
+    if np.all(np.abs(d + d[::-1]) <= 4.0 * np.finfo(float).eps * np.abs(d).max()):
+        j = np.where(d >= d[::-1], j, j[::-1])
+    return np.unique(j, return_inverse=True)
+
+
 def _density_mesh(
     branch: Parity,
     tau: float,
@@ -148,12 +168,17 @@ def _density_mesh(
     strict: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(densities, converged) on the mesh ``ts`` x ``xs``, both shaped
-    (len(ts), len(xs)), for each regulator in ``epsilons``.  Rows are
-    integrated in blocks of about _MESH_CELLS cells; a ladder of several
-    regulators is extrapolated to zero and clamped at zero
-    (extrapolating a vanishing positive sequence may undershoot by
-    roundoff)."""
+    (len(ts), len(xs)), for each regulator in ``epsilons``.  Only the
+    block that :func:`_fold` keeps is integrated, rows in blocks of about
+    _MESH_CELLS cells; a ladder of several regulators is extrapolated to
+    zero and clamped at zero (extrapolating a vanishing positive sequence
+    may undershoot by roundoff), and the block is then expanded to the
+    whole mesh."""
     pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
+    x_kept, x_expand = _fold(xs)
+    t_kept, t_expand = _fold(ts - tau)
+    xs, ts = xs[x_kept], ts[t_kept]
+    mirror = np.ix_(t_expand, x_expand)
     shape = (ts.size, xs.size)
     rows = max(1, _MESH_CELLS // xs.size)
     rungs, converged = [], np.ones(shape, dtype=bool)
@@ -165,10 +190,11 @@ def _density_mesh(
             rung[i : i + rows] = (pref * (f1**2 + f2**2)).reshape(-1, xs.size)
             converged[i : i + rows] &= res.member_converged.reshape(-1, xs.size)
         rungs.append(rung)
+    values = rungs[0]
     if len(epsilons) > 1:
         extrapolated = extrapolate_to_zero(epsilons, rungs)
-        return np.where(extrapolated > 0.0, extrapolated, 0.0), converged
-    return rungs[0], converged
+        values = np.where(extrapolated > 0.0, extrapolated, 0.0)
+    return values[mirror], converged[mirror]
 
 
 def density(
@@ -241,14 +267,20 @@ def density_grid(
 ) -> DensityGrid:
     """Evaluate the density on a regular mesh.
 
-    Rows are integrated in blocks of about _MESH_CELLS cells: one
-    batched engine call per block and regulator, one member per cell
-    on a shared panel tree, with the integrand evaluated in blocks
-    within the engine's value budget; a ladder is extrapolated in one
-    array call.  Each cell keeps its own tolerance and converged flag;
-    cells whose quadrature did not converge are kept and listed in
-    ``flagged``.  Everything runs on the calling thread in a fixed
-    order, so output is deterministic for a fixed configuration.
+    An axis that mirrors itself about x = 0 or t = tau is integrated on
+    its x >= 0 or t >= tau half only, the centre sample included (see
+    the module docstring): a mesh symmetric in both is integrated on one
+    quarter block, other meshes in full.  The kept rows are integrated
+    in blocks of about _MESH_CELLS cells: one batched engine call per
+    block and regulator, one member per cell on a shared panel tree,
+    with the integrand evaluated in blocks within the engine's value
+    budget; a ladder is extrapolated in one array call before the fold
+    is undone.  Each cell keeps its own tolerance and converged flag,
+    and a mirrored cell copies both from its kept image: cells whose
+    quadrature did not converge are kept and listed in ``flagged``
+    together with their mirrors.  Everything runs on the calling thread
+    in a fixed order, so output is deterministic for a fixed
+    configuration.
     """
     if nx < 2 or nt < 2:
         raise ValueError("need nx, nt >= 2")

@@ -105,22 +105,30 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.epsilon_ladder[-1] > 0.0):
             raise ValueError("epsilon must be > 0, and so must its last ladder rung epsilon/4")
-        self.cutoff()  # refuses a q_max that does not damp epsilon
+        # refuses a q_max that does not damp epsilon; without q_max, a rung
+        # whose cutoff 30/rung overflows (epsilon/4 overflows first)
+        for rung in self.epsilon_ladder if self.q_max is None else (self.epsilon,):
+            self.cutoff(rung)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
     def cutoff(self, epsilon: float | None = None) -> float:
         """The momentum cutoff for regulator ``epsilon``; an explicit
-        ``q_max`` that leaves damping >= 1e-12 there is refused."""
+        ``q_max`` that leaves damping >= 1e-12 there is refused, and so is
+        a cutoff that is not finite."""
         eps = self.epsilon if epsilon is None else epsilon
-        if self.q_max is not None:
-            if math.exp(-eps * self.q_max) >= 1e-12:
-                raise ValueError(
-                    f"q_max {self.q_max:g} too small for epsilon {eps:g}: "
-                    "damping exceeds 1e-12 at the cutoff"
-                )
-            return self.q_max
-        return max(50.0, 30.0 / eps)
+        if self.q_max is None:
+            cut = max(50.0, 30.0 / eps)
+        elif math.exp(-eps * self.q_max) >= 1e-12:
+            raise ValueError(
+                f"q_max {self.q_max:g} too small for epsilon {eps:g}: "
+                "damping exceeds 1e-12 at the cutoff"
+            )
+        else:
+            cut = self.q_max
+        if not math.isfinite(cut):
+            raise ValueError(f"momentum cutoff {cut:g} for epsilon {eps:g} is not finite")
+        return cut
 
 
 @dataclass
@@ -323,8 +331,16 @@ def integrate_sqrt_endpoint(
         members=members,
         raise_on_failure=raise_on_failure,
     )
+
+    def head_f(u):
+        # scaled in place: the engine contract lets f's array be overwritten
+        fu = np.asarray(f(u * u), dtype=float).reshape(u.size, *shape)
+        if not fu.flags.writeable:
+            fu = fu.copy()
+        return np.multiply(fu, 2.0 * u.reshape(scale), out=fu)
+
     head = adaptive_quadrature(
-        lambda u: 2.0 * u.reshape(scale) * np.asarray(f(u * u)).reshape(u.size, *shape),
+        head_f,
         0.0,
         math.sqrt(q1),
         **common,

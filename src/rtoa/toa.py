@@ -243,6 +243,8 @@ def toa_distribution(
         field = state
         lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
     lo, hi = tau_range
+    if not lo < hi:
+        raise ValueError(f"tau window must increase: got tau_range ({lo:g}, {hi:g})")
     if not math.isfinite(hi - lo):
         raise ValueError("tau window width must be finite")
     taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below

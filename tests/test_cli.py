@@ -514,6 +514,22 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*DENSITY_ARGV, "--epsilon", "1e-310"],  # cutoff 30 / epsilon overflows
+            [*DENSITY_ARGV, "--epsilon", "3e-307"],  # only the rung epsilon / 4 overflows
+            [*TOA_ARGV, "--tau-min", "10", "--tau-max", "5"],
+        ],
+    )
+    def test_refused_without_a_traceback(self, tmp_path, capsys, argv):
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error:")
+        assert "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
     def test_bad_constants(self, capsys):
         code, _, _ = run(capsys, "--m0", "-2", "verify-algebra")
         assert code == 1

@@ -216,10 +216,53 @@ class TestDensityGrid:
         np.testing.assert_allclose(g.values, g.values[:, ::-1], rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(g.values, g.values[::-1, :], rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        branch=st.sampled_from(list(Parity)),
+        tau=st.floats(0.2, 1.5),
+        x_half=st.floats(0.5, 4.0),
+        nx=st.integers(2, 6),
+        nt=st.integers(2, 6),
+        extrapolate=st.booleans(),
+    )
+    @example(branch=Parity.NODAL, tau=1.0, x_half=4.0, nx=5, nt=4, extrapolate=True)
+    def test_folded_mesh_matches_its_cells(self, branch, tau, x_half, nx, nt, extrapolate):
+        # this mesh mirrors about (0, tau), so one quarter is integrated and
+        # copied: bitwise symmetric, and each cell is the point density there
+        g = density_grid(branch, tau, (-x_half, x_half), (0.0, 2.0 * tau), nx, nt, K, Q, extrapolate=extrapolate)
+        assert np.array_equal(g.values, g.values[:, ::-1])
+        assert np.array_equal(g.values, g.values[::-1])
+        if branch.is_nodal and nx % 2:
+            assert np.all(g.values[:, nx // 2] == 0.0)
+        point = density_extrapolated if extrapolate else density
+        cells = [[point(branch, tau, float(x), float(t), K, Q) for x in g.x_samples] for t in g.t_samples]
+        np.testing.assert_allclose(g.values, cells, rtol=0.0, atol=1e-12 * g.values.max())
+
+    @pytest.mark.parametrize(
+        "x_range, t_range, cells",
+        [((-4.0, 4.0), (0.0, 2.0), 21 * 21), ((-4.0, 3.0), (0.0, 1.7), 41 * 41)],
+    )
+    def test_only_the_mirrored_quarter_is_integrated(self, monkeypatch, x_range, t_range, cells):
+        members = []
+
+        def recording(f, *args, **kwargs):
+            members.append(kwargs["members"])
+            return quadrature.integrate_sqrt_endpoint(f, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_sqrt_endpoint", recording)
+        density_grid(Parity.NONNODAL, 1.0, x_range, t_range, 41, 41, K, Q)
+        assert sum(members) == cells
+
     def test_flagging_on_starved_budget(self):
         q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
         g = density_grid(Parity.NONNODAL, 0.5, (2.0, 4.0), (0.0, 1.0), 3, 2, K, q)
         assert len(g.flagged) > 0
+
+    def test_flagged_cells_come_with_their_mirrors(self):
+        q = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
+        g = density_grid(Parity.NONNODAL, 0.5, (-4.0, 4.0), (0.0, 1.0), 5, 3, K, q)
+        flagged = set(g.flagged)
+        assert flagged and flagged == {(2 - i, 4 - j) for i, j in flagged} == {(i, 4 - j) for i, j in flagged}
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

@@ -235,6 +235,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon", [1e-310, 3e-307])
+    def test_cutoff_must_be_finite(self, epsilon):
+        # 30 / 3e-307 is finite, but 30 / (3e-307 / 4) is not
+        with pytest.raises(ValueError, match="not finite"):
+            QuadratureConfig(epsilon=epsilon)
+        with pytest.raises(ValueError, match="not finite"):
+            QuadratureConfig().cutoff(epsilon / 4)
+
     def test_explicit_qmax_must_damp(self):
         with pytest.raises(ValueError):
             QuadratureConfig(epsilon=0.3, q_max=10.0)

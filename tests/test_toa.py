@@ -152,6 +152,11 @@ class TestDistribution:
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
             toa_distribution(gaussian_state(3.0, -7.0, K), window, 11)
 
+    @pytest.mark.parametrize("window", [(10.0, 5.0), (5.0, 5.0), (math.nan, 5.0)])
+    def test_window_that_does_not_increase_refused(self, window):
+        with pytest.raises(ValueError, match="tau window must increase"):
+            toa_distribution(gaussian_state(3.0, -7.0, K), window, 11)
+
     def test_most_probable_above_photon_time(self):
         d = toa_distribution(gaussian_state(3.0, -7.0, K), n_tau=801)
         assert most_probable_tau(d) > photon_time(3.0, -7.0, K)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rtoa import core, toa
+from rtoa import cli, core, dynamics, toa
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import completeness_check
 
@@ -35,6 +35,16 @@ def test_completeness_keeps_the_parameter_names_the_tracer_binds():
         "tau_window",
         "tau_step",
     ]
+
+
+def test_density_grid_keeps_the_parameter_names_the_tracer_binds():
+    # _density_attrs counts nx * nt cells on the rtoa.cli.density_grid span
+    assert {"nx", "nt"} <= set(inspect.signature(cli.density_grid).parameters)
+
+
+def test_thread_count_stays_callable():
+    # the benchmark worker records it with every run
+    assert dynamics.thread_count() == 1
 
 
 def test_toa_distribution_keeps_the_parameter_names_the_tracer_binds():
