@@ -88,7 +88,9 @@ class QuadratureConfig:
     case it resolves to max(50, 30/epsilon) so the damping factor is
     below 1e-12 at the cutoff.  An explicit ``q_max`` is checked against
     every regulator it is used with, so a ladder rung it would cut while
-    the damping is still >= 1e-12 is refused.
+    the damping is still >= 1e-12 is refused.  ``abs_tol`` and
+    ``rel_tol`` must be >= 0 and not both 0, a target only an exact
+    error estimate of 0 could meet.
     """
 
     epsilon: float = 0.3
@@ -109,6 +111,10 @@ class QuadratureConfig:
         # whose cutoff 30/rung overflows (epsilon/4 overflows first)
         for rung in self.epsilon_ladder if self.q_max is None else (self.epsilon,):
             self.cutoff(rung)
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
+            raise ValueError("abs_tol and rel_tol must be >= 0")
+        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
+            raise ValueError("abs_tol and rel_tol cannot both be 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -190,10 +196,17 @@ def _blocks(panels: np.ndarray, members: int, n_out: int):
 
 
 def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, cols=None):
-    """The per-panel table of :func:`_gk15`, evaluated block by block."""
-    parts = [_gk15(f, block, members, n_out, cols) for block in _blocks(panels, members, n_out)]
-    values, errors = zip(*parts)
-    return np.concatenate(values), np.concatenate(errors)
+    """The per-panel table of :func:`_gk15`, evaluated block by block
+    into one preallocated table, so the peak is the table plus one block."""
+    n_cols = members if cols is None else len(cols)
+    values = np.empty((panels.shape[0], n_cols, n_out))
+    errors = np.empty((panels.shape[0], n_cols))
+    start = 0
+    for block in _blocks(panels, members, n_out):
+        stop = start + block.shape[0]
+        values[start:stop], errors[start:stop] = _gk15(f, block, members, n_out, cols)
+        start = stop
+    return values, errors
 
 
 def _sweep(f, panels: np.ndarray, members: int, n_out: int):

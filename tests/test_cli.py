@@ -519,6 +519,8 @@ class TestExitCodes:
         [
             [*DENSITY_ARGV, "--epsilon", "1e-310"],  # cutoff 30 / epsilon overflows
             [*DENSITY_ARGV, "--epsilon", "3e-307"],  # only the rung epsilon / 4 overflows
+            ["--abs-tol", "-1", "--rel-tol", "-1", *DENSITY_ARGV],  # every cell ran to max_subdivisions
+            ["--abs-tol", "0", "--rel-tol", "0", *DENSITY_ARGV],
             [*TOA_ARGV, "--tau-min", "10", "--tau-max", "5"],
         ],
     )

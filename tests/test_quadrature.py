@@ -243,6 +243,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="not finite"):
             QuadratureConfig().cutoff(epsilon / 4)
 
+    @pytest.mark.parametrize(
+        "abs_tol, rel_tol", [(-1.0, 1e-7), (1e-9, -1.0), (-1.0, -1.0), (0.0, 0.0), (math.nan, 1e-7)]
+    )
+    def test_tolerances_must_mean_something(self, abs_tol, rel_tol):
+        with pytest.raises(ValueError, match="abs_tol and rel_tol"):
+            QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
+        QuadratureConfig(abs_tol=0.0)  # one of them may be 0
+        QuadratureConfig(rel_tol=0.0)
+
     def test_explicit_qmax_must_damp(self):
         with pytest.raises(ValueError):
             QuadratureConfig(epsilon=0.3, q_max=10.0)

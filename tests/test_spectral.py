@@ -133,6 +133,20 @@ def stencil_batches(draw):
     return np.array(x0s), np.array(rows)
 
 
+def quartic(x):
+    return 2.0 - x + 0.5 * x**2 - x**3 + 0.25 * x**4
+
+
+def quartic_slope(x):
+    return -1.0 + x - 3.0 * x**2 + x**3
+
+
+def evict_weights():
+    """Make the next ``differentiate`` call build its weights: another
+    grid takes the one-grid weights slot."""
+    differentiate(np.arange(5.0), np.zeros(5))
+
+
 class TestDifferentiate:
     def test_fourth_order_on_uniform_grid(self):
         errs = []
@@ -160,6 +174,7 @@ class TestDifferentiate:
         "grid", [np.linspace(0.4, 5.1, 8193), np.linspace(0.45, 5.05, 8193)], ids=["uniform", "nonuniform"]
     )
     def test_one_weights_call_per_derivative(self, grid, monkeypatch):
+        evict_weights()
         calls = []
         batched = spectral.fornberg_weights
 
@@ -170,12 +185,43 @@ class TestDifferentiate:
         monkeypatch.setattr(spectral, "fornberg_weights", counted)
         spectral.differentiate(grid, np.sin(grid))
         assert len(calls) == 1
+        spectral.differentiate(grid.copy(), np.cos(grid))  # an equal grid reuses the weights
+        assert len(calls) == 1
+
+    def test_warm_weights_give_bitwise_the_cold_result(self):
+        grid = np.linspace(0.45, 5.05, 8193)
+        real = bump(grid, 0.5, 5.0)
+        cplx = real * np.exp(-3.0j * grid**2)
+        cold = {}
+        for f in (real, cplx):
+            evict_weights()
+            cold[f.dtype] = differentiate(grid, f)
+        for f in (real, cplx, real, cplx):
+            assert np.array_equal(differentiate(grid.copy(), f), cold[f.dtype])
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 9) ** 2])
+    def test_grid_changed_in_place_gets_fresh_weights(self, grid):
+        # both stencils are exact on quartics, so stale weights show
+        grid = grid.copy()
+        differentiate(grid, quartic(grid))
+        grid[4] += 0.05
+        assert np.allclose(differentiate(grid, quartic(grid)), quartic_slope(grid), rtol=0.0, atol=1e-12)
+
+    def test_alternating_grids_each_get_their_own_weights(self):
+        grids = (np.linspace(0.0, 1.0, 9) ** 2, np.linspace(0.0, 1.0, 9) ** 3)
+        cold = []
+        for grid in grids:
+            evict_weights()
+            cold.append(differentiate(grid, quartic(grid)))
+        for _ in range(2):
+            for grid, want in zip(grids, cold):
+                got = differentiate(grid, quartic(grid))
+                assert np.array_equal(got, want)
+                assert np.allclose(got, quartic_slope(grid), rtol=0.0, atol=1e-12)
 
     def test_five_points_share_one_stencil_and_are_exact_on_quartics(self):
         grid = np.array([0.0, 0.3, 1.1, 1.5, 2.6])
-        f = 2.0 - grid + 0.5 * grid**2 - grid**3 + 0.25 * grid**4
-        df = -1.0 + grid - 3.0 * grid**2 + grid**3
-        assert np.allclose(differentiate(grid, f), df, rtol=0.0, atol=1e-12)
+        assert np.allclose(differentiate(grid, quartic(grid)), quartic_slope(grid), rtol=0.0, atol=1e-12)
 
     def test_fewer_than_five_samples_refused(self):
         with pytest.raises(ValueError):

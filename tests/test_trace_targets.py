@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rtoa import cli, core, dynamics, toa
+from rtoa import cli, core, dynamics, spectral, toa
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import completeness_check
 
@@ -57,6 +57,18 @@ def test_toa_distribution_looks_up_energy_in_its_own_module(monkeypatch):
     monkeypatch.setattr(toa, "energy", lambda *args: calls.append(args) or energy(*args))
     toa.toa_distribution(toa.gaussian_state(3.0, -7.0), (5.0, 10.0), 11)
     assert len(calls) == 1
+
+
+def test_apply_even_toa_looks_up_differentiate_in_its_own_module(monkeypatch):
+    # the tracer's spectral.differentiate span on operator-checks wraps this name
+    calls, differentiate = [], spectral.differentiate
+    monkeypatch.setattr(spectral, "differentiate", lambda *args: calls.append(args) or differentiate(*args))
+    grid = np.linspace(0.45, 5.05, 64)
+    f = core.SpinorField(
+        core.Representation.FESHBACH_VILLARS_PHI, core.Basis.MOMENTUM, grid, np.exp(-grid) + 0j, 0j * grid
+    )
+    spectral.apply_even_toa(f)
+    assert len(calls) == 2  # one per component
 
 
 def test_gate_reads_the_default_epsilon_ladder():
