@@ -165,14 +165,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that a _finite flag accepts: no bool, nan, inf or int beyond the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# what a config-file value must be, as its flag accepts it; any other key is a float flag
+_CONFIG_TYPES = {
+    "q_max": ("a finite number or null", lambda v: v is None or _finite_number(v)),
+    "max_subdivisions": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "emit_plot_script": ("true or false", lambda v: isinstance(v, bool)),
+    **dict.fromkeys(("out", "format"), ("a string or null", lambda v: v is None or isinstance(v, str))),
+}
+
+
 def _load_config(args) -> RunConfig:
     cfg = dict(CONFIG_DEFAULTS)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            what, accepts = _CONFIG_TYPES.get(key, ("a finite number", _finite_number))
+            if not accepts(value):
+                raise ValueError(f"config value {key!r} must be {what}, got {value!r}")
         cfg.update(loaded)
     for key in cfg:
         value = getattr(args, key, None)
@@ -190,7 +210,7 @@ def _load_config(args) -> RunConfig:
         quadrature=quad,
         out=cfg["out"],
         format=fmt,
-        emit_plot_script=bool(cfg["emit_plot_script"]),
+        emit_plot_script=cfg["emit_plot_script"],
     )
     plot_ok = args.command in _PLOT_COMMANDS and run.out and run.format == "csv"
     if run.emit_plot_script and not plot_ok:

@@ -134,11 +134,6 @@ def inner_product_phi(a: SpinorField, b: SpinorField) -> complex:
     return complex(np.sum(trapezoid_weights(a.grid) * integrand))
 
 
-def charge_density(f: SpinorField) -> np.ndarray:
-    """Per-sample |upper|^2 - |lower|^2, in units of e."""
-    return (np.abs(f.upper) ** 2 - np.abs(f.lower) ** 2).astype(float)
-
-
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     """Composite trapezoid weights for an arbitrary increasing grid."""
     grid = np.asarray(grid, dtype=float)

@@ -1,5 +1,5 @@
 """Position-space eigenfunction dynamics: regularized oscillatory
-integrals, probability-density grids, and localization diagnostics.
+integrals and probability-density grids.
 
 In terms of the dimensionless momentum q = p / (m0 c), the two parity
 branches reduce to a pair of real one-dimensional integrals
@@ -37,13 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysConstants
-from .errors import RangeBoundaryError
 from .quadrature import (
     QuadratureConfig,
     extrapolate_to_zero,
     integrate_sqrt_endpoint,
 )
-from .spectral import EigenSpec, Parity
+from .spectral import Parity
 
 
 def thread_count() -> int:
@@ -66,12 +65,10 @@ def _f_integrals_result(
     q: QuadratureConfig,
     eps: float,
     strict: bool = True,
-    powers: tuple[float, ...] = (-0.5,),
 ):
     """Damped branch integrals on the mesh ``ts`` x ``xs``, one member
-    per cell in row-major (t, x) order: a (cos, sin) time-factor column
-    pair per entry of ``powers``, the exponent of sqrt(1+q^2) in the
-    weight.
+    per cell in row-major (t, x) order, each a (cos, sin) time-factor
+    pair: ``value[:, 0]`` is f1 and ``value[:, 1]`` is f2.
 
     The integrand factors as g(q) T(b sqrt(1+q^2)) K(a q), so each node
     costs len(xs) + len(ts) trigonometric evaluations, not their product.
@@ -80,8 +77,8 @@ def _f_integrals_result(
     block before asking for the next, and fresh block-sized arrays would
     make the cost of every block depend on the allocator's heap state.
     """
-    if eps <= 0.0:
-        raise ValueError("epsilon must be > 0")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
     a = k.momentum_scale * np.asarray(xs, dtype=float) / k.hbar
     b = k.rest_energy * (np.asarray(ts, dtype=float) - tau) / k.hbar
     kernel = np.sin if branch.is_nodal else np.cos  # sin(0) = 0: nodal x = 0 cells are exact zeros
@@ -94,17 +91,15 @@ def _f_integrals_result(
         sqrt_q, damping = np.sqrt(qq), np.exp(-eps * qq)
         space = kernel(np.multiply.outer(qq, a))
         phase = np.multiply.outer(root, b)
-        time = (np.cos(phase)[:, :, None], np.sin(phase)[:, :, None])
-        shape = (qq.size, b.size, a.size, len(powers), 2)
+        shape = (qq.size, b.size, a.size, 2)
         size = math.prod(shape)
         if buffer.size < size:
             buffer = np.empty(size)
         cells = buffer[:size].reshape(shape)
-        for i, power in enumerate(powers):
-            weighted = (sqrt_q * root**power * damping)[:, None, None] * space[:, None, :]
-            for j, factor in enumerate(time):
-                np.multiply(weighted, factor, out=cells[..., i, j])
-        return cells.reshape(qq.size, b.size * a.size, 2 * len(powers))
+        weighted = (sqrt_q * root**-0.5 * damping)[:, None, None] * space[:, None, :]
+        np.multiply(weighted, np.cos(phase)[:, :, None], out=cells[..., 0])
+        np.multiply(weighted, np.sin(phase)[:, :, None], out=cells[..., 1])
+        return cells.reshape(qq.size, b.size * a.size, 2)
 
     return integrate_sqrt_endpoint(
         integrand,
@@ -113,30 +108,10 @@ def _f_integrals_result(
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_subdivisions=q.max_subdivisions,
-        n_out=2 * len(powers),
+        n_out=2,
         members=a.size * b.size,
         raise_on_failure=strict,
     )
-
-
-def f_integrals(
-    branch: Parity,
-    tau: float,
-    x: float,
-    t: float,
-    k: PhysConstants = PhysConstants(),
-    q: QuadratureConfig = QuadratureConfig(),
-    epsilon: float | None = None,
-) -> tuple[float, float]:
-    """The damped branch integrals (f1, f2) at one spacetime point.
-
-    f1 carries the cos time factor and f2 the sin one; both share the
-    branch kernel (cos(a q) non-nodal, sin(a q) nodal).  Charge sign
-    never enters.
-    """
-    eps = q.epsilon if epsilon is None else epsilon
-    res = _f_integrals_result(branch, tau, [x], [t], k, q, eps)
-    return float(res.value[0, 0]), float(res.value[0, 1])
 
 
 # Mesh cells integrated together in one call: enough that the per-node
@@ -213,22 +188,6 @@ def density(
     return float(values[0, 0])
 
 
-def density_extrapolated(
-    branch: Parity,
-    tau: float,
-    x: float,
-    t: float,
-    k: PhysConstants = PhysConstants(),
-    q: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Density with the epsilon ladder extrapolated to zero regulator,
-    clamped at zero."""
-    values, _ = _density_mesh(
-        branch, tau, np.array([x]), np.array([t]), k, q, q.epsilon_ladder, strict=True
-    )
-    return float(values[0, 0])
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     """Dense density evaluation: values[i, j] = P(t_samples[i], x_samples[j]).
@@ -284,88 +243,11 @@ def density_grid(
     """
     if nx < 2 or nt < 2:
         raise ValueError("need nx, nt >= 2")
+    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (x_range, t_range)):
+        raise ValueError("x and t range widths must be finite")
     xs = np.linspace(x_range[0], x_range[1], nx)
     ts = np.linspace(t_range[0], t_range[1], nt)
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
     values, converged = _density_mesh(branch, tau, xs, ts, k, q, epsilons, strict=False)
     flagged = tuple((int(i), int(j)) for i, j in np.argwhere(~converged))
     return DensityGrid(xs, ts, values, extrapolated=extrapolate, flagged=flagged)
-
-
-def psi_representation_eigenfunction(
-    spec: EigenSpec,
-    x: float,
-    t: float,
-    k: PhysConstants = PhysConstants(),
-    q: QuadratureConfig = QuadratureConfig(),
-    epsilon: float | None = None,
-) -> tuple[complex, complex]:
-    """Both components of the eigenfunction mapped back to the coupled
-    (Schrodinger) representation at position x and time t.
-
-    The component weights are (1+q^2)^(-1/2) +/- lambda; the nodal
-    branch uses the sin kernel and an extra factor i.
-    """
-    eps = q.epsilon if epsilon is None else epsilon
-    res = _f_integrals_result(spec.parity, spec.tau, [x], [t], k, q, eps, powers=(-1.0, 0.0))
-    value = res.value[0]
-    lam = int(spec.lam)
-    # the time phase is exp(-i lam b sqrt(1+q^2)), and cos(lam y) = cos(y),
-    # sin(lam y) = lam sin(y) for lam = +-1
-    weighted = value[0] - 1j * lam * value[1]
-    bare = value[2] - 1j * lam * value[3]
-    pref = k.m0 * k.c**1.5 / (2.0**1.5 * math.pi * k.hbar)
-    if spec.parity.is_nodal:
-        pref = pref * 1j
-    return pref * (weighted + lam * bare), pref * (weighted - lam * bare)
-
-
-@dataclass(frozen=True)
-class SliceDiagnostics:
-    t: float
-    argmax_x: float
-    peak_value: float
-    nodal_peaks: tuple[float, float] | None
-
-
-@dataclass(frozen=True)
-class LocalizationReport:
-    slices: tuple[SliceDiagnostics, ...]
-    best_t: float
-    tau: float
-
-
-def localization_report(branch: Parity, tau: float, grid: DensityGrid) -> LocalizationReport:
-    """Per-time-slice peak diagnostics of a density grid.
-
-    For the nodal branch the two symmetric peaks are tracked and the
-    time slice where they come closest to the origin is reported; for
-    the non-nodal branch the slice holding the global peak.  The grid
-    must cover t = tau.
-    """
-    ts, xs, vals = grid.t_samples, grid.x_samples, grid.values
-    if not (ts[0] <= tau <= ts[-1]):
-        raise RangeBoundaryError("grid time range does not cover the eigenvalue tau")
-    slices = []
-    score = []
-    for i, t in enumerate(ts):
-        row = vals[i]
-        j = int(np.argmax(row))
-        nodal_peaks = None
-        if branch.is_nodal:
-            pos = xs > 0.0
-            neg = xs < 0.0
-            jp = int(np.argmax(np.where(pos, row, -np.inf)))
-            jn = int(np.argmax(np.where(neg, row, -np.inf)))
-            nodal_peaks = (float(xs[jn]), float(xs[jp]))
-            score.append(min(abs(xs[jn]), abs(xs[jp])))
-        else:
-            score.append(-row[j])
-        slices.append(SliceDiagnostics(float(t), float(xs[j]), float(row[j]), nodal_peaks))
-    score = np.asarray(score)
-    # grid quantization can tie a symmetric plateau of slices around the
-    # optimum; report the plateau midpoint
-    tol = 1e-9 * (np.abs(score.min()) + 1e-300)
-    ties = np.flatnonzero(score <= score.min() + tol)
-    best = int(ties[ties.size // 2])
-    return LocalizationReport(tuple(slices), float(ts[best]), tau)

@@ -88,9 +88,9 @@ class QuadratureConfig:
     case it resolves to max(50, 30/epsilon) so the damping factor is
     below 1e-12 at the cutoff.  An explicit ``q_max`` is checked against
     every regulator it is used with, so a ladder rung it would cut while
-    the damping is still >= 1e-12 is refused.  ``abs_tol`` and
-    ``rel_tol`` must be >= 0 and not both 0, a target only an exact
-    error estimate of 0 could meet.
+    the damping is still >= 1e-12 is refused.  ``epsilon`` must be
+    finite; ``abs_tol`` and ``rel_tol`` must be finite, >= 0 and not
+    both 0, a target only an exact error estimate of 0 could meet.
     """
 
     epsilon: float = 0.3
@@ -105,14 +105,14 @@ class QuadratureConfig:
         return (self.epsilon, self.epsilon / 2, self.epsilon / 4)
 
     def __post_init__(self):
-        if not (self.epsilon_ladder[-1] > 0.0):
-            raise ValueError("epsilon must be > 0, and so must its last ladder rung epsilon/4")
+        if not (self.epsilon_ladder[-1] > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and > 0, and so must its last ladder rung epsilon/4")
         # refuses a q_max that does not damp epsilon; without q_max, a rung
         # whose cutoff 30/rung overflows (epsilon/4 overflows first)
         for rung in self.epsilon_ladder if self.q_max is None else (self.epsilon,):
             self.cutoff(rung)
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise ValueError("abs_tol and rel_tol must be >= 0")
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+            raise ValueError("abs_tol and rel_tol must be finite and >= 0")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValueError("abs_tol and rel_tol cannot both be 0")
         if self.max_subdivisions < 1:
@@ -149,9 +149,6 @@ class QuadratureResult:
     n_panels: int
     converged: bool = True
     member_converged: np.ndarray | None = None
-
-    def scalar(self) -> float:
-        return float(self.value[0])
 
 
 def _gk15(f, panels: np.ndarray, members: int, n_out: int, cols):

@@ -161,27 +161,6 @@ def _branch_amplitudes(
     return pos + neg, pos - neg
 
 
-def toa_overlap(
-    state: SpinorField,
-    branch: Parity,
-    tau: float,
-    k: PhysConstants = PhysConstants(),
-    lam: ChargeSign = ChargeSign.POSITIVE,
-) -> complex:
-    """Overlap of a sampled one-particle state with the arrival-time
-    eigenfunction of the given branch and eigenvalue.
-
-    The state's occupied component must match ``lam``; a state living
-    on the opposite charge block overlaps to exactly zero.  Gaussian
-    decay at the grid edges makes the integral convergent without any
-    regulator.
-    """
-    if not np.any(state.upper if lam is ChargeSign.POSITIVE else state.lower):
-        return 0.0 + 0.0j
-    nonnodal, nodal = _branch_amplitudes(state, lam, float(tau), 0.0, 1, k)
-    return complex((nodal if branch.is_nodal else nonnodal)[0])
-
-
 @dataclass(frozen=True)
 class ToaDistribution:
     """Arrival-time density sampled on a tau grid, split per parity

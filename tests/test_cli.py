@@ -250,7 +250,9 @@ class TestLimits:
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m0": 2.0, "format": "json"}))
+        # every default spelled out is accepted: null q_max and out, false
+        # emit_plot_script, an integer-valued float
+        cfg.write_text(json.dumps({**cli.CONFIG_DEFAULTS, "m0": 2, "format": "json"}))
         out = tmp_path / "d.json"
         code, _, err = run(
             capsys,
@@ -455,6 +457,19 @@ class TestRefusedFlags:
             ({"format": "xml"}, TOA_ARGV),
             ({"format": "csv"}, ["limits"]),
             ({"format": "csv"}, ["verify-spectral"]),
+            # each value a flag's type would refuse
+            ({"epsilon": math.inf}, DENSITY_ARGV),
+            ({"abs_tol": math.inf}, DENSITY_ARGV),
+            ({"emit_plot_script": "false"}, DENSITY_ARGV),
+            ({"max_subdivisions": 2.5}, DENSITY_ARGV),
+            ({"max_subdivisions": True}, DENSITY_ARGV),
+            ({"hbar": "1"}, EIG_ARGV),
+            ({"c": True}, EIG_ARGV),
+            ({"m0": 10**400}, EIG_ARGV),
+            ({"q_max": "x"}, DENSITY_ARGV),
+            ({"out": 5}, EIG_ARGV),
+            ([], DENSITY_ARGV),
+            (0.3, DENSITY_ARGV),
         ],
     )
     def test_config_file_values_refused_the_same_way(self, tmp_path, capsys, doc, argv):
@@ -499,6 +514,19 @@ class TestNonFiniteNumbers:
             assert "RuntimeWarning" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_overflowing_mesh_width_refused(self, tmp_path, capsys, axis):
+        out = tmp_path / "data"
+        argv = [*DENSITY_ARGV, f"--{axis}min=-1e308", f"--{axis}max=1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1] == "rtoa: error: x and t range widths must be finite"
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

@@ -10,7 +10,6 @@ from rtoa.core import (
     SpinorField,
     Basis,
     Representation,
-    charge_density,
     energy,
     inner_product_phi,
     momentum_grid,
@@ -126,31 +125,6 @@ class TestInnerProduct:
         b = phi_field(np.linspace(0, 2, 5), np.ones(5))
         with pytest.raises(GridMismatchError):
             inner_product_phi(a, b)
-
-
-class TestChargeDensity:
-    def test_pure_upper_nonnegative(self):
-        grid = np.linspace(-2, 2, 101)
-        f = phi_field(grid, np.exp(1j * grid) * np.cos(grid))
-        rho = charge_density(f)
-        assert np.all(rho >= 0.0)
-        assert rho == pytest.approx(np.cos(grid) ** 2)
-
-    def test_pure_lower_nonpositive(self):
-        grid = np.linspace(-2, 2, 101)
-        f = phi_field(grid, np.zeros_like(grid), np.sin(grid) * np.exp(-2j * grid))
-        assert np.all(charge_density(f) <= 0.0)
-
-    def test_zero_field(self):
-        grid = np.linspace(-1, 1, 11)
-        assert np.all(charge_density(phi_field(grid, np.zeros(11))) == 0.0)
-
-    def test_difference_of_components(self, rng):
-        grid = np.linspace(-1, 1, 64)
-        up = rng.normal(size=64) + 1j * rng.normal(size=64)
-        lo = rng.normal(size=64) + 1j * rng.normal(size=64)
-        f = phi_field(grid, up, lo)
-        assert charge_density(f) == pytest.approx(np.abs(up) ** 2 - np.abs(lo) ** 2)
 
 
 class TestGrids:

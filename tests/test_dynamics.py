@@ -1,64 +1,66 @@
-"""Position-space densities: oracle values, symmetries, localization,
-and the coupled-representation eigenfunctions."""
+"""Position-space densities: oracle values and symmetries."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rtoa import dynamics, quadrature
-from rtoa.core import ChargeSign, PhysConstants
-from rtoa.errors import RangeBoundaryError
-from rtoa.dynamics import (
-    DensityGrid,
-    density,
-    density_extrapolated,
-    density_grid,
-    f_integrals,
-    localization_report,
-    psi_representation_eigenfunction,
-)
-from rtoa.quadrature import QuadratureConfig
-from rtoa.spectral import EigenSpec, Parity
+from rtoa.core import PhysConstants
+from rtoa.dynamics import DensityGrid, density, density_grid
+from rtoa.quadrature import QuadratureConfig, extrapolate_to_zero
+from rtoa.spectral import Parity
 
 from conftest import constants
 
 K = PhysConstants()
 Q = QuadratureConfig()
-POS = ChargeSign.POSITIVE
-NEG = ChargeSign.NEGATIVE
+
+
+def branch_integrals(branch, tau, x, t, epsilon=Q.epsilon):
+    """The damped branch integrals (f1, f2) at one spacetime point."""
+    f1, f2 = dynamics._f_integrals_result(branch, tau, [x], [t], K, Q, epsilon).value[0]
+    return float(f1), float(f2)
+
+
+def extrapolated_density(branch, tau, x, t, k=K, q=Q):
+    """The point density with the epsilon ladder extrapolated to zero and
+    clamped at zero, the Neville step of every extrapolated mesh."""
+    rungs = [density(branch, tau, x, t, k, q, epsilon=e) for e in q.epsilon_ladder]
+    return max(extrapolate_to_zero(q.epsilon_ladder, rungs), 0.0)
 
 
 class TestFIntegrals:
     def test_nodal_zero_at_origin(self):
-        assert f_integrals(Parity.NODAL, 0.5, 0.0, 0.9, K, Q) == (0.0, 0.0)
+        assert branch_integrals(Parity.NODAL, 0.5, 0.0, 0.9) == (0.0, 0.0)
 
     def test_f2_vanishes_at_t_equals_tau(self):
-        f1, f2 = f_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q)
+        f1, f2 = branch_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5)
         assert f2 == 0.0
         assert f1 > 0.0
 
     def test_frozen_peak_value(self):
         # 30-digit quadrature of the x = 0, t = tau damped integral
-        f1, _ = f_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q)
+        f1, _ = branch_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5)
         assert f1 == pytest.approx(2.8922166947883909296, abs=1e-9)
 
     def test_frozen_generic_point(self):
         # mpmath, 18 digits, eps = 0.3
-        f1, f2 = f_integrals(Parity.NONNODAL, 0.5, 1.3, 0.9, K, Q)
+        f1, f2 = branch_integrals(Parity.NONNODAL, 0.5, 1.3, 0.9)
         assert f1 == pytest.approx(-0.0486317891765847345, abs=1e-9)
         assert f2 == pytest.approx(-0.172910696277956551, abs=1e-9)
-        f1, f2 = f_integrals(Parity.NODAL, 0.5, 2.0, 0.2, K, Q)
+        f1, f2 = branch_integrals(Parity.NODAL, 0.5, 2.0, 0.2)
         assert f1 == pytest.approx(0.294031875526587527, abs=1e-9)
         assert f2 == pytest.approx(-0.0615616775014061741, abs=1e-9)
 
     def test_even_in_x_and_time_offset(self):
         for branch in Parity:
-            a = f_integrals(branch, 0.5, 1.7, 1.2, K, Q)
-            b = f_integrals(branch, 0.5, -1.7, 1.2, K, Q)
-            c = f_integrals(branch, 0.5, 1.7, -0.2, K, Q)
+            a = branch_integrals(branch, 0.5, 1.7, 1.2)
+            b = branch_integrals(branch, 0.5, -1.7, 1.2)
+            c = branch_integrals(branch, 0.5, 1.7, -0.2)
             sign = -1.0 if branch.is_nodal else 1.0
             assert b[0] == pytest.approx(sign * a[0], abs=1e-10)
             assert b[1] == pytest.approx(sign * a[1], abs=1e-10)
@@ -87,11 +89,14 @@ class TestFIntegrals:
             quad(integrand, 0.0, Q.cutoff(eps), args=(time,), limit=2000, epsabs=1e-13, epsrel=1e-13)[0]
             for time in (math.cos, math.sin)
         ]
-        assert f_integrals(branch, tau, x, t, K, Q) == pytest.approx(expect, rel=0, abs=1e-10)
+        assert branch_integrals(branch, tau, x, t) == pytest.approx(expect, rel=0, abs=1e-10)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            f_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=-0.1)
+        for epsilon in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                branch_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5, epsilon=epsilon)
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                density(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=epsilon)
 
 
 class TestDensity:
@@ -115,7 +120,7 @@ class TestDensity:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_prefactor(self):
-        f1, f2 = f_integrals(Parity.NONNODAL, 0.5, 0.7, 0.2, K, Q)
+        f1, f2 = branch_integrals(Parity.NONNODAL, 0.5, 0.7, 0.2)
         d = density(Parity.NONNODAL, 0.5, 0.7, 0.2, K, Q)
         assert d == pytest.approx((f1 * f1 + f2 * f2) / (2.0 * math.pi**2), rel=1e-12)
 
@@ -149,7 +154,7 @@ class TestDensity:
             d1 = abs(ladder[1] - ladder[0])
             d2 = abs(ladder[2] - ladder[1])
             assert d2 < d1, (x, t, ladder)
-            ext = density_extrapolated(Parity.NONNODAL, 0.5, x, t, K, Q)
+            ext = extrapolated_density(Parity.NONNODAL, 0.5, x, t, K, Q)
             scale = max(ladder[2], 1e-3)
             assert abs(ext - ladder[2]) / scale < 0.5
 
@@ -194,7 +199,7 @@ class TestDensityGrid:
     def test_point_densities_equal_grid_cells(self, branch):
         # one code path: the point routines are the 1 x 1 mesh; grid cells
         # share a finer panel tree, so they agree to roundoff, not bitwise
-        for extrapolate, point in ((False, density), (True, density_extrapolated)):
+        for extrapolate, point in ((False, density), (True, extrapolated_density)):
             g = density_grid(branch, 0.5, (-1.5, 1.5), (0.1, 0.9), 5, 3, K, Q, extrapolate=extrapolate)
             for i, t in enumerate(g.t_samples):
                 for j, x in enumerate(g.x_samples):
@@ -234,7 +239,7 @@ class TestDensityGrid:
         assert np.array_equal(g.values, g.values[::-1])
         if branch.is_nodal and nx % 2:
             assert np.all(g.values[:, nx // 2] == 0.0)
-        point = density_extrapolated if extrapolate else density
+        point = extrapolated_density if extrapolate else density
         cells = [[point(branch, tau, float(x), float(t), K, Q) for x in g.x_samples] for t in g.t_samples]
         np.testing.assert_allclose(g.values, cells, rtol=0.0, atol=1e-12 * g.values.max())
 
@@ -263,6 +268,16 @@ class TestDensityGrid:
         g = density_grid(Parity.NONNODAL, 0.5, (-4.0, 4.0), (0.0, 1.0), 5, 3, K, q)
         flagged = set(g.flagged)
         assert flagged and flagged == {(2 - i, 4 - j) for i, j in flagged} == {(i, 4 - j) for i, j in flagged}
+
+    @pytest.mark.parametrize(
+        "x_range, t_range",
+        [((-1e308, 1e308), (0.0, 1.0)), ((-1.0, 1.0), (-1e308, 1e308)), ((0.0, math.inf), (0.0, 1.0))],
+    )
+    def test_non_finite_range_width_refused(self, x_range, t_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy overflows
+            with pytest.raises(ValueError, match="range widths must be finite"):
+                density_grid(Parity.NONNODAL, 0.5, x_range, t_range, 3, 2, K, Q)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -310,96 +325,3 @@ class TestDensityBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2 * quadrature._BLOCK_VALUES * 8
-
-
-class TestLocalization:
-    def test_nonnodal_peak_at_tau(self):
-        g = density_grid(Parity.NONNODAL, 0.5, (-3, 3), (0, 1), 41, 21, K, Q)
-        rep = localization_report(Parity.NONNODAL, 0.5, g)
-        assert rep.best_t == pytest.approx(0.5, abs=0.05)
-        best = [s for s in rep.slices if s.t == rep.best_t][0]
-        assert abs(best.argmax_x) <= g.x_samples[1] - g.x_samples[0]
-
-    def test_nodal_peaks_close_in_at_tau(self):
-        g = density_grid(Parity.NODAL, 0.5, (-3, 3), (0, 1), 61, 21, K, Q)
-        rep = localization_report(Parity.NODAL, 0.5, g)
-        assert rep.best_t == pytest.approx(0.5, abs=0.05)
-        for s in rep.slices:
-            left, right = s.nodal_peaks
-            assert left < 0.0 < right
-            assert abs(left + right) <= 2.0 * (g.x_samples[1] - g.x_samples[0])
-
-    def test_grid_must_cover_tau(self):
-        g = density_grid(Parity.NONNODAL, 2.0, (-1, 1), (0, 1), 5, 3, K, Q)
-        with pytest.raises(RangeBoundaryError):
-            localization_report(Parity.NONNODAL, 2.0, g)
-
-
-class TestPsiRepresentation:
-    def test_nodal_zero_at_origin(self):
-        up, lo = psi_representation_eigenfunction(
-            EigenSpec(POS, Parity.NODAL, 0.5), 0.0, 0.2, K, Q
-        )
-        assert up == 0.0 and lo == 0.0
-
-    def test_charge_swap_relation(self):
-        # flipping lambda conjugates the time phase and swaps the roles
-        # of the component weights
-        spec_p = EigenSpec(POS, Parity.NONNODAL, 0.5)
-        spec_m = EigenSpec(NEG, Parity.NONNODAL, 0.5)
-        up_p, lo_p = psi_representation_eigenfunction(spec_p, 0.9, 0.4, K, Q)
-        up_m, lo_m = psi_representation_eigenfunction(spec_m, 0.9, 0.4, K, Q)
-        assert up_m == pytest.approx(np.conj(lo_p), rel=1e-10)
-        assert lo_m == pytest.approx(np.conj(up_p), rel=1e-10)
-
-    def test_nodal_charge_swap_relation(self):
-        spec_p = EigenSpec(POS, Parity.NODAL, 0.5)
-        spec_m = EigenSpec(NEG, Parity.NODAL, 0.5)
-        up_p, lo_p = psi_representation_eigenfunction(spec_p, 0.9, 0.4, K, Q)
-        up_m, lo_m = psi_representation_eigenfunction(spec_m, 0.9, 0.4, K, Q)
-        assert up_m == pytest.approx(-np.conj(lo_p), rel=1e-10)
-        assert lo_m == pytest.approx(-np.conj(up_p), rel=1e-10)
-
-    @pytest.mark.parametrize("parity", list(Parity))
-    def test_consistent_with_diagonal_representation_pipeline(self, parity):
-        """Oracle: map the diagonal-representation eigenfunction through
-        the inverse momentum-dependent transform and Fourier transform
-        it with the same damping, via scipy quadrature."""
-        from scipy.integrate import quad
-
-        lam, tau, x, t, eps = 1, 0.5, 0.8, 0.9, 0.3
-        norm = math.sqrt(K.c / (4.0 * math.pi * K.hbar))
-
-        def component(sign, q):
-            # rows of U^{-1} applied to (phi, 0): (1 +/- sqrt(1+q^2)) / (2 (1+q^2)^(1/4))
-            root = math.sqrt(1.0 + q * q)
-            phi = norm * math.sqrt(abs(q) / root) * np.exp(-1j * lam * (t - tau) * root)
-            if parity.is_nodal:
-                phi = phi * np.sign(q)
-            weight = (1.0 + sign * root) / (2.0 * root**0.5)
-            return weight * phi
-
-        def ft(sign):
-            def re_im(part):
-                def f(q):
-                    val = (
-                        np.exp(1j * x * q)
-                        * component(sign, q)
-                        * math.exp(-eps * abs(q))
-                        / math.sqrt(2.0 * math.pi)
-                    )
-                    return val.real if part == "re" else val.imag
-
-                out = 0.0
-                for a, b in ((-60.0, 0.0), (0.0, 60.0)):
-                    out += quad(f, a, b, limit=2000, epsabs=1e-11, epsrel=1e-11)[0]
-                return out
-
-            return re_im("re") + 1j * re_im("im")
-
-        up_ref, lo_ref = ft(+1), ft(-1)
-        up, lo = psi_representation_eigenfunction(
-            EigenSpec(POS, parity, tau), x, t, K, Q, epsilon=eps
-        )
-        assert up == pytest.approx(up_ref, rel=2e-6)
-        assert lo == pytest.approx(lo_ref, rel=2e-6)

@@ -22,7 +22,6 @@ from rtoa.toa import (
     most_probable_tau,
     photon_time,
     toa_distribution,
-    toa_overlap,
 )
 
 from conftest import constants, phi_field
@@ -55,24 +54,25 @@ class TestGaussianState:
         assert g.size == 4097
 
 
-class TestOverlap:
-    def test_opposite_charge_is_zero(self):
-        state = gaussian_state(3.0, -7.0, K)
-        f = state.field()
-        assert toa_overlap(f, Parity.NONNODAL, 1.0, K, lam=ChargeSign.NEGATIVE) == 0.0
+def point_overlap(state, branch, tau, lam=ChargeSign.POSITIVE):
+    """Overlap of a sampled state with the eigenfunction (lam, branch, tau)."""
+    nonnodal, nodal = toa._branch_amplitudes(state, lam, float(tau), 0.0, 1, K)
+    return complex((nodal if branch.is_nodal else nonnodal)[0])
 
+
+class TestOverlap:
     def test_even_state_odd_branch_parity_zero(self):
         grid = np.linspace(-8.0, 8.0, 4096)  # symmetric, no zero node
         state = GaussianState(0.0, 0.0, K)
         f = state.field(grid)
-        v = toa_overlap(f, Parity.NODAL, 0.0, K)
+        v = point_overlap(f, Parity.NODAL, 0.0)
         assert abs(v) < 1e-13
 
     def test_truncation_flagged(self):
         state = gaussian_state(3.0, -7.0, K)
         narrow = state.field(np.linspace(2.0, 4.0, 501))
         with pytest.raises(StateTruncationError):
-            toa_overlap(narrow, Parity.NONNODAL, 1.0, K)
+            point_overlap(narrow, Parity.NONNODAL, 1.0)
 
     def test_overlap_peaks_near_classical_time(self):
         state = gaussian_state(3.0, -7.0, K)
@@ -80,8 +80,8 @@ class TestOverlap:
         t_cl = classical_time(3.0, -7.0, K)
         taus = np.linspace(t_cl - 3.0, t_cl + 3.0, 121)
         mags = [
-            abs(toa_overlap(f, Parity.NONNODAL, float(t), K)) ** 2
-            + abs(toa_overlap(f, Parity.NODAL, float(t), K)) ** 2
+            abs(point_overlap(f, Parity.NONNODAL, float(t))) ** 2
+            + abs(point_overlap(f, Parity.NODAL, float(t))) ** 2
             for t in taus
         ]
         peak_tau = taus[int(np.argmax(mags))]
@@ -302,8 +302,8 @@ class TestPhaseRecurrence:
     def test_one_tau_overlap_equals_direct_sum(self, p0, x0, tau, lam):
         f = _on_block(GaussianState(p0, x0, K).field(), lam)
         want_nonnodal, want_nodal, scale = _direct_amplitudes(f, lam, np.array([tau]))
-        got_nonnodal = toa_overlap(f, Parity.NONNODAL, tau, K, lam)
-        got_nodal = toa_overlap(f, Parity.NODAL, tau, K, lam)
+        got_nonnodal = point_overlap(f, Parity.NONNODAL, tau, lam)
+        got_nodal = point_overlap(f, Parity.NODAL, tau, lam)
         assert abs(got_nonnodal - want_nonnodal[0]) <= 1e-12 * scale
         assert abs(got_nodal - want_nodal[0]) <= 1e-12 * scale
 
