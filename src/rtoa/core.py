@@ -89,6 +89,15 @@ def energy(p, k: PhysConstants = PhysConstants()):
     return e if e.ndim else float(e)
 
 
+def kinetic_energy(p, e, k: PhysConstants = PhysConstants()):
+    """T_p = E_p - m0 c^2, formed as p^2 c^2 / (E_p + m0 c^2) from the
+    energies ``e`` of ``p``: no cancellation, so T_p keeps its digits at
+    any c, where E_p rounds to the ulp of m0 c^2.  The factor
+    pc / (E_p + m0 c^2) < 1 is taken first, so no square overflows."""
+    pc = p * k.c
+    return pc * (pc / (e + k.rest_energy))
+
+
 @dataclass(frozen=True)
 class SpinorField:
     """Two-component complex field sampled on a strictly increasing grid."""

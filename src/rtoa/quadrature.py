@@ -249,8 +249,12 @@ def adaptive_quadrature(
     """
     if not b > a:
         raise ValueError("need b > a")
-    m = 1 if max_width is None or b - a <= max_width else int(np.ceil((b - a) / max_width))
-    cuts = np.linspace(a, b, m + 1)
+    # a width that underflows next to b - a, or is zero, gives an infinite count
+    with np.errstate(over="ignore", divide="ignore"):
+        count = 1.0 if max_width is None or b - a <= max_width else np.float64(b - a) / max_width
+    if not math.isfinite(count):
+        raise ValueError(f"panels of width {max_width:g} over [{a:g}, {b:g}] are too many to count")
+    cuts = np.linspace(a, b, int(np.ceil(count)) + 1)
     panels = np.stack([cuts[:-1], cuts[1:]], axis=1)
 
     n_members = 1 if members is None else members

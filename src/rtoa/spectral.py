@@ -35,6 +35,7 @@ from .core import (
     Representation,
     SpinorField,
     energy,
+    kinetic_energy,
     trapezoid_weights,
 )
 from .errors import DivergentOverlapError, SingularPointError
@@ -258,7 +259,9 @@ def overlap(
 
     Zero across charge blocks and across parity branches; otherwise a
     half-weight delta in tau - tau' plus the smooth remainder
-    lambda * [lambda i exp(lambda i (tau-tau') m0 c^2 / hbar)] / (2 pi (tau-tau')).
+    lambda * [lambda i exp(lambda i (tau-tau') m0 c^2 / hbar)] / (2 pi (tau-tau')),
+    the same for both parities and, at lambda = -1, -conj of its
+    lambda = +1 value.
     """
     if s1.lam is not s2.lam or s1.parity is not s2.parity:
         return OverlapResult(0.0, 0.0 + 0.0j)
@@ -284,6 +287,11 @@ def overlap_numeric(
     default QuadratureConfig tolerances and cutoff rule, and extrapolates
     the ladder to zero.  The coinciding-times case has no smooth part to
     estimate and is refused.
+
+    For a same-sector pair the value does not depend on parity, since
+    the integrand holds sgn(p)^2 = 1, and lambda = -1 gives -conj of the
+    lambda = +1 value, since the charge only flips the sign of omega.
+    Both hold bitwise; criterion 5 relies on them.
     """
     if s1.lam is not s2.lam or s1.parity is not s2.parity:
         return 0.0 + 0.0j
@@ -325,21 +333,40 @@ def overlap_numeric(
     return complex(lam * smooth)
 
 
+# Most complex values in one temporary of the phase-table products (512
+# KiB), so that no temporary grows with the grid.  A grid-wide one (2.4
+# MB for completeness at 8001 taus) raised the process's peak memory by
+# 0 or 2 MB, as the allocator's history placed it.
+_SUM_VALUES = 2**15
+
+
+def _column_blocks(n_rows: int, n_cols: int):
+    """Column slices covering ``n_cols`` columns, each at most
+    _SUM_VALUES values across ``n_rows`` table rows."""
+    step = max(1, _SUM_VALUES // n_rows)
+    return (slice(j, j + step) for j in range(0, n_cols, step))
+
+
 def amplitude_sums(base, p, e, lam: int, k: PhysConstants, tau0: float, step: float, n: int):
-    """Sums S_j = sum of base(p) exp(i lam tau_j E_p / hbar) over each sign
+    """Sums S_j = sum of base(p) exp(i lam tau_j T_p / hbar) over each sign
     half, p < 0 and p >= 0, of the increasing grid ``p`` (energies ``e``),
-    for tau_j = tau0 + j step, j < n.  ``base`` vanishes at p = 0, so the
+    for tau_j = tau0 + j step, j < n.  The phase runs on the kinetic energy
+    T_p = p^2 c^2 / (E_p + m0 c^2), which keeps its digits at large c where
+    E_p does not; the rest phase exp(i lam tau_j m0 c^2 / hbar) it leaves
+    out is common to all p, so |S_j| and a synthesis on the same tables
+    are those of the E_p phase.  ``base`` vanishes at p = 0, so the
     non-nodal branch sum is S(p >= 0) + S(p < 0), the nodal one their
     difference.  With j = s B + i and B = isqrt(n), the phase factors into
-    rows[i] = exp(i lam i step E / hbar), i < B, times
-    starts[s] = exp(i lam (tau0 + s B step) E / hbar), s < ceil(n / B).
+    rows[i] = exp(i lam i step T / hbar), i < B, times
+    starts[s] = exp(i lam (tau0 + s B step) T / hbar), s < ceil(n / B).
     Both tables are built by doubling, about log2 n ``exp`` rows in all,
-    and a half's sums are one product (starts * base) @ rows.T: over both
-    halves, n n_p complex multiply-adds plus fewer than B n_p of padding.
-    Returns (half, rows, starts, sums) per half: the slice of ``p``, the
-    tables on it, and sums shaped (ceil(n / B), B) with ravel()[:n] = S."""
+    and a half's sums are the product (starts * base) @ rows.T, summed over
+    the column blocks of :func:`_column_blocks`: over both halves, n n_p
+    complex multiply-adds plus fewer than B n_p of padding.  Returns
+    (half, rows, starts, sums) per half: the slice of ``p``, the tables on
+    it, and sums shaped (ceil(n / B), B) with ravel()[:n] = S."""
     b = math.isqrt(n)
-    rate = (1j * lam / k.hbar) * e  # phase per unit tau
+    rate = (1j * lam / k.hbar) * kinetic_energy(p, e, k)  # phase per unit tau
     tables = np.empty((b + -(-n // b), p.size), dtype=complex)
     rows, starts = tables[:b], tables[b:]
     for table, first, delta in ((rows, 1.0, step), (starts, np.exp(rate * tau0), b * step)):
@@ -350,8 +377,14 @@ def amplitude_sums(base, p, e, lam: int, k: PhysConstants, tau0: float, step: fl
             np.multiply(table[:size], np.exp(rate * (m * delta)), out=table[m : m + size])
             m += size
     cut = int(np.searchsorted(p, 0.0))
-    halves = (slice(0, cut), slice(cut, p.size))
-    return [(h, rows[:, h], starts[:, h], (starts[:, h] * base[h]) @ rows[:, h].T) for h in halves]
+    out = []
+    for h in (slice(0, cut), slice(cut, p.size)):
+        r, s, w = rows[:, h], starts[:, h], base[h]
+        sums = np.zeros((len(s), b), dtype=complex)
+        for cols in _column_blocks(len(s), w.size):
+            sums += (s[:, cols] * w[cols]) @ r[:, cols].T
+        out.append((h, r, s, sums))
+    return out
 
 
 def completeness_check(
@@ -375,8 +408,9 @@ def completeness_check(
     Synthesis: sum_j w_j phi_tau_j(p) <phi_tau_j, f> on a half is
     2 sum_s starts[s] (C @ rows)[s], C[s, i] = w_j conj(S_j) at
     j = s B + i: the transposed product, as many multiply-adds again on
-    the same tables, with no further ``exp`` and no temporary above
-    ceil(n / B) grid rows.
+    the same tables, with no further ``exp``, taken over the same column
+    blocks as the sums.  The rest phase the sums leave out cancels
+    between the two.
     """
     if tau_window <= 0.0 or tau_step <= 0.0:
         raise ValueError("tau window and step must be positive")
@@ -399,7 +433,10 @@ def completeness_check(
         for half, rows, starts, sums in amplitude_sums(base, grid, e, lam, k, -tau_window, h, n_tau):
             coef = np.zeros(sums.size, dtype=complex)  # the padded tail has no tau weight
             coef[:n_tau] = wt * np.conj(sums.ravel()[:n_tau])
-            out[half] = np.einsum("sp,sp->p", starts, coef.reshape(sums.shape) @ rows)
+            coef = coef.reshape(sums.shape)
+            part = out[half]
+            for cols in _column_blocks(len(starts), part.size):
+                part[cols] = np.einsum("sp,sp->p", starts[:, cols], coef @ rows[:, cols])
         recon.append(2.0 * phase * mod * out)
 
     num = np.sqrt(

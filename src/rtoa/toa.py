@@ -27,6 +27,7 @@ from .core import (
     Representation,
     SpinorField,
     energy,
+    kinetic_energy,
     momentum_grid,
     trapezoid_weights,
 )
@@ -137,7 +138,8 @@ def _branch_amplitudes(
     field: SpinorField, lam: ChargeSign, tau0: float, step: float, n: int, k: PhysConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps <state, eigenfunction(lam, branch, tau)> on the uniform
-    grid tau_j = tau0 + j step, j < n, as (nonnodal, nodal) arrays: the
+    grid tau_j = tau0 + j step, j < n, as (nonnodal, nodal) arrays, each
+    without its rest phase exp(-i lam tau_j m0 c^2 / hbar): the
     trapezoid sums over the momentum grid of the block ``lam``, which must
     hold the state's amplitude.  They are the half sums of
     :func:`spectral.amplitude_sums` (about log2 n ``exp`` rows, n n_p
@@ -148,13 +150,14 @@ def _branch_amplitudes(
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     _check_edge_decay(grid, amp)
     e = energy(grid, k)
-    # the phase tables form E_p tau0 / hbar and E_p t / hbar for offsets t
-    # up to the window width (n - 1) step
+    # the phase tables form T_p tau0 / hbar and T_p t / hbar for offsets t
+    # up to the window width (n - 1) step; T_p peaks at an end of the grid
     width = (n - 1) * abs(step)
-    if not math.isfinite(max(abs(tau0), width) * float(e.max()) / k.hbar):
+    fastest = float(kinetic_energy(grid[[0, -1]], e[[0, -1]], k).max())
+    if not math.isfinite(max(abs(tau0), width) * fastest / k.hbar):
         raise PhaseOverflowError(
             f"tau window [{tau0:g}, {tau0 + width:g}] is so wide that the phases "
-            "tau E_p / hbar are not finite"
+            "tau T_p / hbar are not finite"
         )
     base = trapezoid_weights(grid) * np.conj(amp) * eigen_amplitude_modulus(grid, e, k)
     neg, pos = (sums.ravel()[:n] for *_, sums in amplitude_sums(base, grid, e, int(lam), k, tau0, step, n))

@@ -110,6 +110,10 @@ def test_criterion_4_symmetry(rng):
 
 
 def test_criterion_5_nonorthogonality():
+    # All 16 (charge, parity, separation) fixtures are scored against their
+    # closed forms.  The numeric route runs once per separation, on the
+    # lambda = +1 non-nodal pair; its charge and parity images cover the
+    # other fixtures, pinned bitwise by tests/test_spectral.py::TestOverlap.
     r = cli.check_overlap(K)
     zeros = r["cross_charge_zero"] and r["cross_parity_zero"]
     ok = r["pass"] and r["worst_rel_error"] < 1e-3 and zeros

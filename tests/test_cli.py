@@ -503,7 +503,7 @@ class TestNonFiniteNumbers:
 
     def test_overflowing_tau_window_refused(self, tmp_path, capsys):
         # a window whose width overflows, and a finite one whose phases do
-        for half, reason in (("1e308", "width must be finite"), ("5e307", "phases tau E_p / hbar are not finite")):
+        for half, reason in (("1e308", "width must be finite"), ("5e307", "phases tau T_p / hbar are not finite")):
             out = tmp_path / "data"
             argv = ["toa-dist", "--p0", "3", "--x0", "-7", f"--tau-min=-{half}", f"--tau-max={half}", "--n-tau", "11"]
             with warnings.catch_warnings(record=True) as caught:
@@ -550,6 +550,8 @@ class TestExitCodes:
             ["--abs-tol", "-1", "--rel-tol", "-1", *DENSITY_ARGV],  # every cell ran to max_subdivisions
             ["--abs-tol", "0", "--rel-tol", "0", *DENSITY_ARGV],
             [*TOA_ARGV, "--tau-min", "10", "--tau-max", "5"],
+            # pi / max|x| as the panel width makes the first-pass panel count infinite
+            [*DENSITY_ARGV[:5], "--xmin=-1e308", "--xmax", "0", *DENSITY_ARGV[9:]],
         ],
     )
     def test_refused_without_a_traceback(self, tmp_path, capsys, argv):

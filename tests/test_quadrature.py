@@ -1,6 +1,7 @@
 """Engine checks against closed forms and scipy's QUADPACK."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ class TestAdaptive:
             raise_on_failure=False,
         )
         assert not res.converged
+
+    @pytest.mark.parametrize("max_width", [3e-308, 0.0])
+    def test_infinite_first_pass_panel_count_refused(self, max_width):
+        # a finite interval whose ratio to the panel width overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a numpy warning
+            with pytest.raises(ValueError, match="too many to count"):
+                adaptive_quadrature(np.cos, 0.0, 100.0, max_width=max_width)
 
     def test_read_only_output(self):
         # the engine overwrites what f returns, so a read-only array is copied first

@@ -2,12 +2,14 @@
 and the non-relativistic limit."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtoa import spectral
+from rtoa import cli, spectral
 from rtoa.core import ChargeSign, PhysConstants, energy, inner_product_phi, trapezoid_weights
 from rtoa.errors import DivergentOverlapError, SingularPointError
 from rtoa.quadrature import QuadratureConfig
@@ -30,7 +32,7 @@ from rtoa.spectral import (
 )
 from rtoa.toa import gaussian_state
 
-from conftest import bump, phi_field
+from conftest import bump, constants, phi_field
 
 K = PhysConstants()
 POS = ChargeSign.POSITIVE
@@ -387,6 +389,44 @@ class TestOverlap:
         num = overlap_numeric(s1, s2, k)
         assert abs(num - ana) / abs(ana) < 1e-3
 
+    # criterion 5 scores its 16 fixtures from one quadrature per separation
+    # through these images, so they must hold bitwise
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 5.0])
+    def test_charge_and_parity_images_at_the_check_separations(self, dt):
+        _assert_overlap_images(dt, K)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=constants, dt=st.floats(0.3, 6.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_charge_and_parity_images(self, k, dt, sign):
+        _assert_overlap_images(sign * dt * k.hbar / k.rest_energy, k)
+
+    def test_check_integrates_each_separation_once(self, monkeypatch):
+        calls, numeric = [], cli.overlap_numeric
+        monkeypatch.setattr(cli, "overlap_numeric", lambda *args: calls.append(args) or numeric(*args))
+        quadratures, quad = [], spectral.adaptive_quadrature
+        monkeypatch.setattr(
+            spectral, "adaptive_quadrature", lambda *args, **kw: quadratures.append(args) or quad(*args, **kw)
+        )
+        assert cli.check_overlap(K)["pass"]
+        assert len(calls) == 5  # four separations and the cross-charge zero
+        assert len(quadratures) == 4 * len(spectral.OVERLAP_EPSILON_LADDER)
+
+
+def _assert_overlap_images(dt, k):
+    """At separation ``dt``, the nodal value of both overlap routes is the
+    non-nodal one, and the lambda = -1 value is -conj of the lambda = +1
+    non-nodal one."""
+    for route in (overlap_numeric, lambda s1, s2, k: overlap(s1, s2, k).regular_part):
+        value = {
+            (lam, parity): route(EigenSpec(lam, parity, dt), EigenSpec(lam, parity, 0.0), k)
+            for lam in ChargeSign
+            for parity in Parity
+        }
+        positive = value[POS, Parity.NONNODAL]
+        for parity in Parity:
+            assert value[NEG, parity] == -positive.conjugate()
+            assert value[POS, parity] == positive
+
 
 def completeness_by_tau_sum(f, tau_window, tau_step, k, t=0.0):
     """Reference for completeness_check: project onto every eigenfunction
@@ -408,6 +448,25 @@ def completeness_by_tau_sum(f, tau_window, tau_step, k, t=0.0):
         num += np.sum(wp * np.abs(rec - component) ** 2)
         den += np.sum(wp * np.abs(component) ** 2)
     return math.sqrt(num / den)
+
+
+class TestAmplitudeSums:
+    def test_kinetic_phase_keeps_its_digits_at_large_c(self):
+        # at c = 1e6, E_p rounds to the ulp of m0 c^2 = 1e12 and loses most
+        # of p^2 / 2 m0; |S_j| has no rest phase, so an E_p oracle checks it
+        k = PhysConstants(hbar=1.0, c=1e6, m0=1.0)
+        p = np.linspace(-3.1, 3.3, 257)
+        base = np.exp(-((p - 1.0) ** 2) / 0.5) * np.sqrt(np.abs(p)) * (1.0 + 0.1j * p)
+        halves = spectral.amplitude_sums(base, p, energy(p, k), 1, k, -5.0, 0.5, 91)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(k.c)
+            for half, _, _, sums in halves:
+                energies = [mpmath.sqrt((mpmath.mpf(q) * c) ** 2 + c**4) for q in p[half]]
+                terms = [mpmath.mpc(b.real, b.imag) for b in base[half]]
+                for j in (0, 30, 60, 90):
+                    tau = mpmath.mpf(-5.0 + 0.5 * j)
+                    want = abs(mpmath.fsum(b * mpmath.expj(tau * e) for b, e in zip(terms, energies)))
+                    assert abs(abs(sums.ravel()[j]) - float(want)) <= 1e-12 * float(want)
 
 
 class TestCompleteness:
@@ -437,6 +496,19 @@ class TestCompleteness:
         got = completeness_check(f, tau_window, tau_step, k, t=t)
         want = completeness_by_tau_sum(f, tau_window, tau_step, k, t)
         assert got == pytest.approx(want, rel=1e-11)
+
+    def test_temporaries_do_not_grow_with_the_grid(self):
+        # the phase tables hold (B + ceil(n / B)) grid rows; every product
+        # on them runs over column blocks of at most _SUM_VALUES values
+        f = gaussian_state(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 4097))
+        tracemalloc.start()
+        try:
+            completeness_check(f, 100.0, 0.025, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = (89 + 90) * 4097 * 16  # n_tau = 8001, B = 89
+        assert peak - tables < 4 * spectral._SUM_VALUES * 16
 
     def test_error_small_and_decreasing(self):
         f = gaussian_state(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 2049))

@@ -55,7 +55,8 @@ class TestGaussianState:
 
 
 def point_overlap(state, branch, tau, lam=ChargeSign.POSITIVE):
-    """Overlap of a sampled state with the eigenfunction (lam, branch, tau)."""
+    """Overlap of a sampled state with the eigenfunction (lam, branch, tau),
+    without its rest phase exp(-i lam tau m0 c^2 / hbar)."""
     nonnodal, nodal = toa._branch_amplitudes(state, lam, float(tau), 0.0, 1, K)
     return complex((nodal if branch.is_nodal else nonnodal)[0])
 
@@ -264,8 +265,9 @@ class TestDistributionSymmetries:
 
 
 def _direct_amplitudes(field, lam, taus):
-    """(nonnodal, nodal, sum |base|): the overlap sums with one exp per
-    (tau, p) pair, 256 taus at a time."""
+    """(nonnodal, nodal, sum |base|): the overlap sums with one exp of
+    tau E_p per (tau, p) pair, 256 taus at a time, then the rest phase
+    taken out per tau as _branch_amplitudes leaves it out."""
     grid = field.grid
     amp = field.upper if lam is ChargeSign.POSITIVE else field.lower
     e = energy(grid, K)
@@ -275,6 +277,7 @@ def _direct_amplitudes(field, lam, taus):
         np.exp((1j * int(lam) / K.hbar) * np.outer(chunk, e)) @ columns
         for chunk in np.array_split(taus, max(1, taus.size // 256))
     ])
+    out *= np.exp((-1j * int(lam) * K.rest_energy / K.hbar) * taus)[:, None]
     return out[:, 0], out[:, 1], float(np.sum(np.abs(base)))
 
 
