@@ -32,8 +32,9 @@ class RC:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable and already in lowest terms: keep it
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -156,7 +157,7 @@ class PauliCoeff:
 
     def scale(self, s) -> "PauliCoeff":
         s = _coerce(s)
-        return PauliCoeff(*(s * a for a in self.c))
+        return PauliCoeff(*(s * a if a else RC_ZERO for a in self.c))
 
     def __repr__(self) -> str:
         return f"PauliCoeff{self.c!r}"

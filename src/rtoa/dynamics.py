@@ -79,8 +79,11 @@ def _f_integrals_result(
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
-    a = k.momentum_scale * np.asarray(xs, dtype=float) / k.hbar
-    b = k.rest_energy * (np.asarray(ts, dtype=float) - tau) / k.hbar
+    with np.errstate(over="ignore"):
+        a = k.momentum_scale * np.asarray(xs, dtype=float) / k.hbar
+        b = k.rest_energy * (np.asarray(ts, dtype=float) - tau) / k.hbar
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("scaled mesh coordinates m0 c x / hbar and m0 c^2 (t - tau) / hbar must be finite")
     kernel = np.sin if branch.is_nodal else np.cos  # sin(0) = 0: nodal x = 0 cells are exact zeros
 
     buffer = np.empty(0)

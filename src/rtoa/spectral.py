@@ -136,10 +136,83 @@ def fornberg_weights(x0: float | np.ndarray, xs: np.ndarray, order: int) -> np.n
     return w[order]
 
 
-# The last grid ``differentiate`` built weights for, as one tuple
-# (private copy of the grid, spacing h or None, float weights), so a
-# reader in another thread sees a whole slot or the previous one.
-_last_weights = None
+# The four end nodes, whose stencils are clipped to the grid's ends.
+_ENDS = [0, 1, -2, -1]
+
+
+class _GridTable:
+    """What the operator layer derives from one grid alone, each part
+    built on its first use and kept while calls come on an equal grid.
+
+    The derivative part is the spacing decision h (None off a grid
+    uniform to rtol 1e-12), the stencils of the four end nodes, and the
+    Fornberg weights of the end nodes and, off a uniform grid, of the
+    interior ones, cast once per dtype a call asks for.  The physics part
+    belongs to the last constants used on the grid: the zero-node mask
+    (None when no node is exactly 0), first and second, 2p, 2/p, 1/p^2
+    and E_p, all real.  Each part is one tuple, replaced whole, so a
+    reader in another thread sees a whole part or the previous one."""
+
+    __slots__ = ("grid", "_derivative", "_physics")
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid.copy()
+        self._derivative = None
+        self._physics = None
+
+    def derivative(self, dtype):
+        """(h, end stencils, (end weights, interior weights or None)) for
+        values of ``dtype``; weights are shaped (m, 1, 5) for matmul."""
+        part = self._derivative
+        if part is None:
+            grid, n = self.grid, self.grid.size
+            if np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0):
+                h, nodes = grid[1] - grid[0], np.array([0, 1, n - 2, n - 1])
+            else:
+                h, nodes = None, np.arange(n)
+            stencil = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
+            w = fornberg_weights(grid[nodes], grid[stencil], 1)[:, None, :]
+            weights = (w[_ENDS], None if h is not None else w[2:-2].copy())
+            part = self._derivative = (h, stencil[_ENDS], {np.dtype(float): weights})
+        h, ends, weights = part
+        if dtype not in weights:
+            weights[dtype] = tuple(None if w is None else w.astype(dtype) for w in weights[np.dtype(float)])
+        return h, ends, weights[dtype]
+
+    def physics(self, k: PhysConstants):
+        """(zero-node mask or None, first, second, 2p, 2/p, 1/p^2, E_p)
+        at the constants ``k``, each computed as the operator's formulas
+        would on the grid, so results are bitwise those of a fresh build."""
+        # equal values of one type give equal bits; 1 == 1.0 alone would not
+        key = tuple((type(v), v) for v in (k.hbar, k.c, k.m0))
+        part = self._physics
+        if part is None or part[0] != key:
+            p = self.grid
+            zero = p == 0.0
+            e = energy(p, k)
+            first, second = _toa_coefficients(e, k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv_p = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, p))
+            mask = zero if zero.any() else None
+            part = self._physics = (key, mask, first, second, 2.0 * p, 2.0 * inv_p, inv_p**2, e)
+        return part[1:]
+
+
+# The table of the last grid the operator layer worked on.  Its key is
+# the grid's content, bit for bit, not its identity: an equal grid in a
+# new array reuses the table, and a grid changed in place since the last
+# call gets a fresh one, so a result never depends on what was called
+# before.
+_table = None
+
+
+def _grid_table(grid: np.ndarray) -> _GridTable:
+    global _table
+    table = _table
+    # bits, not values: -0.0 == 0.0, yet the weights may differ in a zero's sign
+    if table is None or not np.array_equal(table.grid.view(np.uint64), grid.view(np.uint64)):
+        table = _table = _GridTable(grid)
+    return table
 
 
 def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -150,43 +223,42 @@ def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     1e-12, whose interior keeps the closed-form centered stencil: the
     benchmark reference pins the conjugacy order that stencil gives.
 
-    The spacing decision and the weights of the last grid are kept and
-    reused while calls come on an equal grid, as operator checks do (one
-    call per component and field).  The key is the grid's content, bit
-    for bit, not its identity: an equal grid in a new array reuses the
-    weights, and a grid changed in place since the last call gets fresh
-    ones, so a result never depends on what was called before."""
-    global _last_weights
+    The spacing decision, the end stencils and the weights come from the
+    grid's table (see _GridTable), keyed on the grid's bits and kept while
+    calls come on an equal grid, as operator checks do (one call per
+    component and field).  Off a uniform grid the interior stencils read
+    a sliding window over a contiguous copy of ``values``; each node is
+    still one 1x5 @ 5x1 product, summed as the 1-D ``w @ v`` does, so the
+    result is bitwise that of gathering the stencils.  A strided view
+    read in place would take another matmul path and change the last
+    bits.  Values are taken as float64, or complex128 if complex, and the
+    centered stencil runs in place on the output."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
-    n = grid.size
-    if n < 5:
+    values = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
+    if grid.size < 5:
         raise ValueError("need at least 5 samples")
-    slot = _last_weights
-    # bits, not values: -0.0 == 0.0, yet the weights may differ in a zero's sign
-    hit = slot is not None and np.array_equal(slot[0].view(np.uint64), grid.view(np.uint64))
-    if hit:
-        _, h, w = slot
-    elif np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0):
-        h = grid[1] - grid[0]
-    else:
-        h = None
-    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
+    out = np.empty_like(values)
+    h, ends, (w_ends, w_inner) = _grid_table(grid).derivative(values.dtype)
+    inner = out[2:-2]
     if h is not None:
-        out[2:-2] = (
-            values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
-        ) / (12.0 * h)
-        nodes = np.array([0, 1, n - 2, n - 1])
+        np.multiply(8.0, values[1:-3], out=inner)
+        np.subtract(values[:-4], inner, out=inner)
+        inner += 8.0 * values[3:-1]
+        inner -= values[4:]
+        inner /= 12.0 * h
     else:
-        nodes = np.arange(n)
-    stencil = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
-    if not hit:
-        w = fornberg_weights(grid[nodes], grid[stencil], 1)
-        # w is a view that keeps all order + 1 rows of Fornberg's table alive
-        _last_weights = (grid.copy(), h, w.copy())
-    # row by row, a stack of 1x5 @ 5x1 products sums as the 1-D `w @ v` does
-    out[nodes] = np.matmul(w.astype(out.dtype)[:, None, :], values[stencil][:, :, None])[:, 0, 0]
+        windows = np.lib.stride_tricks.sliding_window_view(values, 5)[:, :, None]
+        np.matmul(w_inner, windows, out=inner[:, None, None])
+    out[_ENDS] = np.matmul(w_ends, values[ends][:, :, None])[:, 0, 0]
     return out
+
+
+# (first, second) from the energies ``e``: see even_toa_coefficients
+def _toa_coefficients(e, k: PhysConstants):
+    first = -1.0 / (2.0 * e)
+    second = -(k.m0**2 * k.c**2 / (2.0 * e) + e / (2.0 * k.c**2))
+    return first, second
 
 
 def even_toa_coefficients(p, k: PhysConstants = PhysConstants()):
@@ -194,11 +266,7 @@ def even_toa_coefficients(p, k: PhysConstants = PhysConstants()):
     operator: (first, second) multiply the p*d/dp-type and 1/p-type
     symmetrized derivative terms.  In the c -> infinity limit the first
     scales as 1/c^2 and the second tends to -m0."""
-    p = np.asarray(p, dtype=float)
-    e = energy(p, k)
-    first = -1.0 / (2.0 * e)
-    second = -(k.m0**2 * k.c**2 / (2.0 * e) + e / (2.0 * k.c**2))
-    return first, second
+    return _toa_coefficients(energy(np.asarray(p, dtype=float), k), k)
 
 
 # Largest |field| at p = 0, relative to the field's peak, that the 1/p
@@ -212,12 +280,20 @@ def apply_even_toa(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spinor
     The operator involves 1/p and 1/p^2; a node exactly at p = 0 is only
     allowed if the field there is negligible (VANISH_TOL of its peak),
     in which case the output is forced to zero on that node.
+
+    The grid's arrays (first, second, 2p, 2/p, 1/p^2 and the zero-node
+    mask) come from its table (see _GridTable), keyed on the grid's bits
+    and then on the constants.  Each component takes
+    first (2p phi' + phi) + second ((2/p) phi' - (1/p^2) phi), times
+    i hbar / 2, with the same operations in the same order as the
+    formula evaluated afresh, written in place: the output is bitwise
+    that of building every array on each call.
     """
     if f.representation is not Representation.FESHBACH_VILLARS_PHI or f.basis is not Basis.MOMENTUM:
         raise ValueError("operator acts on momentum-space fields in the diagonal representation")
     p = f.grid
-    near_zero = p == 0.0
-    if near_zero.any():
+    near_zero, first, second, two_p, two_inv_p, inv_p2, _ = _grid_table(p).physics(k)
+    if near_zero is not None:
         scale = max(np.max(np.abs(f.upper)), np.max(np.abs(f.lower)), 1e-300)
         if (
             np.max(np.abs(f.upper[near_zero])) > VANISH_TOL * scale
@@ -226,24 +302,30 @@ def apply_even_toa(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spinor
             raise SingularPointError(
                 "grid reaches p = 0 where the field does not vanish"
             )
-    first, second = even_toa_coefficients(p, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_p = np.where(near_zero, 0.0, 1.0 / np.where(near_zero, 1.0, p))
+    half_i_hbar = 0.5j * k.hbar
 
     def block(phi):
         dphi = differentiate(p, phi)
-        val = first * (2.0 * p * dphi + phi) + second * (
-            2.0 * inv_p * dphi - inv_p**2 * phi
-        )
-        out = 0.5j * k.hbar * val
-        return np.where(near_zero, 0.0, out)
+        val = two_p * dphi
+        val += phi
+        np.multiply(first, val, out=val)
+        np.multiply(two_inv_p, dphi, out=dphi)
+        dphi -= inv_p2 * phi
+        np.multiply(second, dphi, out=dphi)
+        val += dphi
+        np.multiply(half_i_hbar, val, out=val)
+        if near_zero is not None:
+            val[near_zero] = 0.0
+        return val
 
-    return f.with_components(block(f.upper), -block(f.lower))
+    upper, lower = block(f.upper), block(f.lower)
+    return f.with_components(upper, np.negative(lower, out=lower))
 
 
 def apply_hamiltonian(f: SpinorField, k: PhysConstants = PhysConstants()) -> SpinorField:
-    """Diagonal free Hamiltonian E_p sigma3 in momentum space."""
-    e = energy(f.grid, k)
+    """Diagonal free Hamiltonian E_p sigma3 in momentum space, with E_p
+    from the grid's table (see _GridTable)."""
+    e = _grid_table(f.grid).physics(k)[-1]
     return f.with_components(e * f.upper, -e * f.lower)
 
 

@@ -1,4 +1,6 @@
 import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,18 @@ def phi_field(grid, upper, lower=None) -> SpinorField:
     upper = np.asarray(upper, dtype=complex)
     lower = np.zeros_like(upper) if lower is None else np.asarray(lower, dtype=complex)
     return SpinorField(Representation.FESHBACH_VILLARS_PHI, Basis.MOMENTUM, grid, upper, lower)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """A fresh copy of the benchmark module perfbench/<name>.py, loaded
+    read-only: no bytecode is written next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture

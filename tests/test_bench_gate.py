@@ -6,24 +6,15 @@ modules are loaded read-only, without writing bytecode next to them, so a
 pinned value that drifts fails here and not only in a benchmark run."""
 
 import json
-import types
 from pathlib import Path
 
 import pytest
 
 from rtoa import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH, load_perfbench
 
-
-def _load(name: str) -> types.ModuleType:
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
-gate, workloads = _load("gate"), _load("workloads")
+gate, workloads = load_perfbench("gate"), load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

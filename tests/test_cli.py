@@ -528,6 +528,25 @@ class TestNonFiniteNumbers:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "window",
+        [("--xmin=-1e300", "--xmax", "0", "--tmax", "1"), ("--xmin=0", "--xmax", "1", "--tmax", "1e300")],
+        ids=["x", "t"],
+    )
+    def test_overflowing_scaled_mesh_refused(self, tmp_path, capsys, window):
+        # finite widths whose m0 c / hbar and m0 c^2 / hbar scalings overflow
+        out = tmp_path / "data"
+        argv = ["--m0", "1e10", "density-grid", "--branch", "nonnodal", "--tau", "0.5",
+                "--nx", "3", "--tmin", "0", "--nt", "2", *window]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error: scaled mesh coordinates")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

@@ -32,7 +32,7 @@ from rtoa.spectral import (
 )
 from rtoa.toa import gaussian_state
 
-from conftest import bump, constants, phi_field
+from conftest import bump, constants, load_perfbench, phi_field
 
 K = PhysConstants()
 POS = ChargeSign.POSITIVE
@@ -143,9 +143,9 @@ def quartic_slope(x):
     return -1.0 + x - 3.0 * x**2 + x**3
 
 
-def evict_weights():
-    """Make the next ``differentiate`` call build its weights: another
-    grid takes the one-grid weights slot."""
+def evict_table():
+    """Make the next operator call on any other grid build its table:
+    another grid takes the one-grid table slot."""
     differentiate(np.arange(5.0), np.zeros(5))
 
 
@@ -176,7 +176,7 @@ class TestDifferentiate:
         "grid", [np.linspace(0.4, 5.1, 8193), np.linspace(0.45, 5.05, 8193)], ids=["uniform", "nonuniform"]
     )
     def test_one_weights_call_per_derivative(self, grid, monkeypatch):
-        evict_weights()
+        evict_table()
         calls = []
         batched = spectral.fornberg_weights
 
@@ -196,7 +196,7 @@ class TestDifferentiate:
         cplx = real * np.exp(-3.0j * grid**2)
         cold = {}
         for f in (real, cplx):
-            evict_weights()
+            evict_table()
             cold[f.dtype] = differentiate(grid, f)
         for f in (real, cplx, real, cplx):
             assert np.array_equal(differentiate(grid.copy(), f), cold[f.dtype])
@@ -213,7 +213,7 @@ class TestDifferentiate:
         grids = (np.linspace(0.0, 1.0, 9) ** 2, np.linspace(0.0, 1.0, 9) ** 3)
         cold = []
         for grid in grids:
-            evict_weights()
+            evict_table()
             cold.append(differentiate(grid, quartic(grid)))
         for _ in range(2):
             for grid, want in zip(grids, cold):
@@ -340,6 +340,154 @@ class TestEvenOperator:
         # first coefficient falls off as 1/c^2, second tends to -m0
         assert firsts[0] / firsts[1] == pytest.approx(100.0, rel=1e-2)
         assert seconds[-1] == pytest.approx(-1.0, abs=1e-5)
+
+
+def differentiate_fresh(grid, values):
+    """The 5-point derivative with its weights built and its stencils
+    gathered on every call: the arithmetic the grid table must keep."""
+    n = grid.size
+    out = np.empty_like(values, dtype=complex if np.iscomplexobj(values) else float)
+    if np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0):
+        h = grid[1] - grid[0]
+        out[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+        nodes = np.array([0, 1, n - 2, n - 1])
+    else:
+        nodes = np.arange(n)
+    stencil = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
+    w = fornberg_weights(grid[nodes], grid[stencil], 1)
+    out[nodes] = np.matmul(w.astype(out.dtype)[:, None, :], values[stencil][:, :, None])[:, 0, 0]
+    return out
+
+
+def apply_even_toa_fresh(f, k):
+    """The operator with every grid array built afresh, as one expression."""
+    p = f.grid
+    near_zero = p == 0.0
+    e = energy(p, k)
+    first = -1.0 / (2.0 * e)
+    second = -(k.m0**2 * k.c**2 / (2.0 * e) + e / (2.0 * k.c**2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_p = np.where(near_zero, 0.0, 1.0 / np.where(near_zero, 1.0, p))
+
+    def block(phi):
+        dphi = differentiate_fresh(p, phi)
+        val = first * (2.0 * p * dphi + phi) + second * (2.0 * inv_p * dphi - inv_p**2 * phi)
+        return np.where(near_zero, 0.0, 0.5j * k.hbar * val)
+
+    return f.with_components(block(f.upper), -block(f.lower))
+
+
+def apply_hamiltonian_fresh(f, k):
+    e = energy(f.grid, k)
+    return f.with_components(e * f.upper, -e * f.lower)
+
+
+def assert_same_bits(got, want):
+    for a, b in ((got.upper, want.upper), (got.lower, want.lower)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def operator_images(f, k, apply_toa, apply_h):
+    """T f, H f, H T f and T H f."""
+    t, h = apply_toa(f, k), apply_h(f, k)
+    return t, h, apply_h(t, k), apply_toa(h, k)
+
+
+K2 = PhysConstants(hbar=0.7, c=1.3, m0=0.9)
+
+# The grids the benchmark and the acceptance checks apply the operator on;
+# the 0.4-5.1 ones are uniform to rtol 1e-12, the 0.45-5.05 ones are not.
+BENCHMARK_GRIDS = [
+    *((0.5, 5.0, n) for n in (513, 1025, 4097)),
+    *((0.4, 5.1, n) for n in (2049, 4097, 8193)),
+    *((0.45, 5.05, n) for n in (4097, 8193)),
+]
+
+
+class TestOperatorTable:
+    """The per-grid table leaves every output bit as the operator formulas
+    evaluated afresh give it: the benchmark reference pins the conjugacy
+    order, which a roundoff change would move by about 1e-3."""
+
+    @pytest.mark.parametrize("lo, hi, n", BENCHMARK_GRIDS)
+    def test_bitwise_the_fresh_arithmetic(self, lo, hi, n):
+        grid = np.linspace(lo, hi, n)
+        b = bump(grid, lo + 0.05, hi - 0.05)
+        fields = [
+            phi_field(grid, b, 0.0 * b),
+            phi_field(grid, b * np.exp(3j * grid), 0.5 * b * np.exp(1j * grid)),
+            phi_field(grid, b * grid * np.exp(-2j * grid), 0.2 * b),
+            eigenfunction_field(EigenSpec(POS, Parity.NODAL, 1.0), 0.0, grid, K),
+        ]
+        for k in (K, K2):
+            for f in fields:
+                got = operator_images(f, k, apply_even_toa, apply_hamiltonian)
+                want = operator_images(f, k, apply_even_toa_fresh, apply_hamiltonian_fresh)
+                for g, w in zip(got, want):
+                    assert_same_bits(g, w)
+        f = fields[1]
+        for values in (f.upper, np.ascontiguousarray(f.upper.real), f.upper.real, f.lower.imag):
+            assert differentiate(grid, values).tobytes() == differentiate_fresh(grid, values).tobytes()
+
+    def test_node_at_zero(self):
+        grid = np.linspace(-1.0, 1.0, 101)
+        b = bump(grid, 0.3, 0.9)
+        f = phi_field(grid, b * np.exp(1j * grid), 0.5 * b)
+        for _ in range(2):  # cold table, then warm
+            got = operator_images(f, K, apply_even_toa, apply_hamiltonian)
+            for g, w in zip(got, operator_images(f, K, apply_even_toa_fresh, apply_hamiltonian_fresh)):
+                assert_same_bits(g, w)
+            assert got[0].upper[50] == 0.0 and got[0].lower[50] == 0.0
+        with pytest.raises(SingularPointError):  # the warm table's zero-node mask still refuses
+            apply_even_toa(phi_field(grid, np.exp(-(grid**2))), K)
+
+    def test_alternating_constants_give_their_cold_results(self):
+        grid = np.linspace(0.45, 5.05, 4097)
+        b = bump(grid, 0.5, 5.0)
+        f = phi_field(grid, b * np.exp(2j * grid), 0.3 * b)
+        cold = {}
+        for k in (K, K2):
+            evict_table()
+            cold[k] = operator_images(f, k, apply_even_toa, apply_hamiltonian)
+        for k in (K, K2, K):
+            for g, w in zip(operator_images(f, k, apply_even_toa, apply_hamiltonian), cold[k]):
+                assert_same_bits(g, w)
+
+    def test_constants_equal_in_value_but_not_type_get_their_own_arrays(self, monkeypatch):
+        calls, energy_ = [], spectral.energy
+        monkeypatch.setattr(spectral, "energy", lambda *args: calls.append(args) or energy_(*args))
+        grid = np.linspace(0.4, 5.1, 65)
+        f = phi_field(grid, bump(grid, 0.5, 5.0) + 0j)
+        apply_even_toa(f, PhysConstants())
+        apply_even_toa(f, PhysConstants(hbar=1.0, c=1.0, m0=1.0))  # equal values, equal types
+        apply_even_toa(f, PhysConstants(hbar=1, c=1, m0=1))  # equal values, integer types
+        assert len(calls) == 2
+
+    def test_grid_changed_in_place_gets_fresh_arrays(self):
+        grid = np.linspace(0.4, 5.1, 2049)
+        amp = bump(grid, 0.5, 5.0) * np.exp(2j * grid)
+        # the field freezes the array it is given, so hand it views of ``grid``
+        before = operator_images(phi_field(grid[:], amp), K, apply_even_toa, apply_hamiltonian)
+        grid *= 1.01  # the same array object, other bits
+        f = phi_field(grid[:], amp)
+        got = operator_images(f, K, apply_even_toa, apply_hamiltonian)
+        evict_table()
+        cold = operator_images(phi_field(grid.copy(), amp), K, apply_even_toa, apply_hamiltonian)
+        for g, w, old in zip(got, cold, before):
+            assert_same_bits(g, w)
+            assert g.upper.tobytes() != old.upper.tobytes()
+
+    def test_check_leaves_keep_their_bits(self):
+        # the values of the operator before it kept grid tables, to the last bit
+        assert cli.check_eigenrelation(K)["order"] == float.fromhex("0x1.f4379e12d92edp+1")
+        conj = cli.check_conjugacy(K, lambda n: cli._bump_states(n, 3))
+        assert conj["order"] == float.fromhex("0x1.ffcb7a3f02947p+1")
+        sym = cli.check_symmetry(K, lambda n: cli._bump_states(n, 5))
+        assert sym["imag_fraction_4097"] == float.fromhex("0x1.33787cf457659p-40")
+        gate = load_perfbench("gate")
+        bump_coeffs = {"k1": 3.0, "a1": 0.5, "k2": 1.0, "k3": -2.0, "a3": 0.2}
+        order = gate.conjugacy_residuals(bump_coeffs, (4097, 8193))["order"]
+        assert order == float.fromhex("0x1.ff58550c17799p+1")
 
 
 class TestOverlap:

@@ -5,8 +5,6 @@ tests load the tracer read-only, without writing bytecode next to it, so a
 rename that would only break a benchmark run fails here."""
 
 import inspect
-import types
-from pathlib import Path
 
 import numpy as np
 
@@ -14,17 +12,11 @@ from rtoa import cli, core, dynamics, spectral, toa
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import completeness_check
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_wrapped_name_resolves():
-    tracing = _tracing()
+    tracing = load_perfbench("tracing")
     resolved = tracing.resolve_targets()
     assert len(resolved) == len(tracing.TARGETS)
 
@@ -69,6 +61,20 @@ def test_apply_even_toa_looks_up_differentiate_in_its_own_module(monkeypatch):
     )
     spectral.apply_even_toa(f)
     assert len(calls) == 2  # one per component
+
+
+def test_grid_table_looks_up_energy_in_its_own_module_once(monkeypatch):
+    # the tracer's core.energy span on operator-checks wraps this name
+    calls, energy = [], spectral.energy
+    monkeypatch.setattr(spectral, "energy", lambda *args: calls.append(args) or energy(*args))
+    spectral.differentiate(np.arange(5.0), np.zeros(5))  # another grid takes the table slot
+    grid = np.linspace(0.45, 5.05, 96)
+    f = core.SpinorField(
+        core.Representation.FESHBACH_VILLARS_PHI, core.Basis.MOMENTUM, grid, np.exp(-grid) + 0j, 0j * grid
+    )
+    spectral.apply_hamiltonian(spectral.apply_even_toa(f))
+    spectral.apply_even_toa(spectral.apply_hamiltonian(f))
+    assert len(calls) == 1  # one table build serves all four calls
 
 
 def test_gate_reads_the_default_epsilon_ladder():
