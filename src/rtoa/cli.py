@@ -10,13 +10,15 @@ One subcommand per computation surface, each writing one format:
     limits           non-relativistic limit report (JSON)
 
 With --emit-plot-script and --out, density-grid and toa-dist also write
-a gnuplot script to ``<out>.gp``.  --emit-plot-script anywhere else, and
-a --format the subcommand does not write, are refused.
+a gnuplot script to ``<out>.gp``.
 
-Configuration precedence is CLI flags > config file (--config, a flat
-JSON document) > built-in defaults; the effective configuration is
-echoed to stderr and embedded in every emitted file.  Runs are fully
-deterministic: identical invocations produce byte-identical files.
+A subcommand reads only the settings whose ``--help`` line names it; a
+setting it does not read is refused, from a flag and from a config file,
+and so is a --format it does not write.  Precedence is CLI flags >
+config file (--config, a flat JSON document) > built-in defaults; the
+settings read, and only those, are echoed to stderr and embedded in
+every emitted file.  Runs are fully deterministic: identical
+invocations produce byte-identical files.
 Exit codes: 0 success, 1 validation failure (non-finite numbers
 included), 2 numerical-convergence failure.
 """
@@ -30,6 +32,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,25 +64,19 @@ from .toa import (
 
 @dataclass
 class RunConfig:
+    settings: dict  # exactly the settings the subcommand reads, as echoed and embedded
     constants: PhysConstants
     quadrature: QuadratureConfig
-    out: str | None
-    format: str
-    emit_plot_script: bool
-
-    @property
-    def snapshot(self) -> dict:
-        return {
-            **asdict(self.constants),
-            **asdict(self.quadrature),
-            "out": self.out,
-            "format": self.format,
-            "emit_plot_script": self.emit_plot_script,
-        }
 
 
-# format None: the subcommand's own, the first of its _FORMATS entry
-CONFIG_DEFAULTS = RunConfig(PhysConstants(), QuadratureConfig(), None, None, False).snapshot
+# format None: the subcommand's own, the first of its table row's formats
+CONFIG_DEFAULTS = {
+    **asdict(PhysConstants()),
+    **asdict(QuadratureConfig()),
+    "out": None,
+    "format": None,
+    "emit_plot_script": False,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,27 +99,31 @@ def _finite(text: str) -> float:
     return value
 
 
+def _read_by(setting: str) -> str:
+    """The subcommands whose table row holds ``setting``, for its --help."""
+    return "read by " + ", ".join(name for name, row in _SUBCOMMANDS.items() if setting in row.settings)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rtoa", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="flat JSON config file")
-    parser.add_argument("--hbar", type=_finite)
-    parser.add_argument("--c", type=_finite)
-    parser.add_argument("--m0", type=_finite)
-    parser.add_argument("--abs-tol", type=_finite, dest="abs_tol")
-    parser.add_argument("--rel-tol", type=_finite, dest="rel_tol")
-    parser.add_argument("--q-max", type=_finite, dest="q_max")
-    parser.add_argument("--max-subdivisions", type=int, dest="max_subdivisions")
-    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--config", help="flat JSON config file of settings")
+    parser.add_argument("--hbar", type=_finite, help=_read_by("hbar"))
+    parser.add_argument("--c", type=_finite, help=_read_by("c"))
+    parser.add_argument("--m0", type=_finite, help=_read_by("m0"))
+    parser.add_argument("--abs-tol", type=_finite, dest="abs_tol", help=_read_by("abs_tol"))
+    parser.add_argument("--rel-tol", type=_finite, dest="rel_tol", help=_read_by("rel_tol"))
     parser.add_argument(
-        "--format", choices=["csv", "json"], help="csv or json for toa-dist; json for the reports"
+        "--max-subdivisions", type=int, dest="max_subdivisions", help=_read_by("max_subdivisions")
     )
+    parser.add_argument("--out", help="output path (default: stdout); " + _read_by("out"))
+    written = "; ".join(f"{name}: {' or '.join(row.formats)}" for name, row in _SUBCOMMANDS.items() if row.formats)
+    parser.add_argument("--format", choices=["csv", "json"], help=f"the format written, default first: {written}")
     parser.add_argument(
         "--emit-plot-script",
         action="store_const",
         const=True,
         default=None,
-        help="density-grid and toa-dist CSV with --out only: also write a gnuplot script "
-        "to <out>.gp",
+        help="with --out and CSV, also write a gnuplot script to <out>.gp; " + _read_by("emit_plot_script"),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -170,9 +171,9 @@ def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-# what a config-file value must be, as its flag accepts it; any other key is a float flag
+# what a config-file value must be, as its flag accepts it; any other key is
+# a float flag, and its value is taken as a float from a flag and a file alike
 _CONFIG_TYPES = {
-    "q_max": ("a finite number or null", lambda v: v is None or _finite_number(v)),
     "max_subdivisions": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "emit_plot_script": ("true or false", lambda v: isinstance(v, bool)),
     **dict.fromkeys(("out", "format"), ("a string or null", lambda v: v is None or isinstance(v, str))),
@@ -180,42 +181,38 @@ _CONFIG_TYPES = {
 
 
 def _load_config(args) -> RunConfig:
-    cfg = dict(CONFIG_DEFAULTS)
+    row = _SUBCOMMANDS[args.command]
+    given = {}
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            given = json.load(fh)
+        if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(cfg)
+        unknown = set(given) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
+        for key, value in given.items():
             what, accepts = _CONFIG_TYPES.get(key, ("a finite number", _finite_number))
             if not accepts(value):
                 raise ValueError(f"config value {key!r} must be {what}, got {value!r}")
-        cfg.update(loaded)
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    cfg["epsilon"] = float(cfg["epsilon"])
-    constants = PhysConstants(**{f.name: cfg[f.name] for f in fields(PhysConstants)})
-    quad = QuadratureConfig(**{f.name: cfg[f.name] for f in fields(QuadratureConfig)})
-    formats = _FORMATS.get(args.command, ("csv",))
-    fmt = formats[0] if cfg["format"] is None else cfg["format"]
-    if fmt not in formats:
-        raise ValueError(f"format {fmt!r}: {args.command} writes {' or '.join(formats)}")
-    run = RunConfig(
-        constants=constants,
-        quadrature=quad,
-        out=cfg["out"],
-        format=fmt,
-        emit_plot_script=cfg["emit_plot_script"],
-    )
-    plot_ok = args.command in _PLOT_COMMANDS and run.out and run.format == "csv"
-    if run.emit_plot_script and not plot_ok:
-        raise ValueError("--emit-plot-script needs --out and CSV from density-grid or toa-dist")
-    return run
+    flags = {key: getattr(args, key, None) for key in CONFIG_DEFAULTS}
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    unread = sorted(set(given) - set(row.settings))
+    if unread:
+        raise ValueError(f"{args.command} does not read {', '.join(unread)}; it reads {', '.join(row.settings)}")
+    settings = {key: given.get(key, CONFIG_DEFAULTS[key]) for key in row.settings}
+    for key in settings.keys() - _CONFIG_TYPES.keys():
+        settings[key] = float(settings[key])
+    if "format" in settings:
+        if settings["format"] is None:
+            settings["format"] = row.formats[0]
+        if settings["format"] not in row.formats:
+            raise ValueError(f"format {settings['format']!r}: {args.command} writes {' or '.join(row.formats)}")
+    if settings.get("emit_plot_script") and not (settings["out"] and settings["format"] == "csv"):
+        raise ValueError("--emit-plot-script needs --out and CSV")
+    constants = PhysConstants(**{key: settings[key] for key in _CONSTANTS if key in settings})
+    quadrature = QuadratureConfig(**{key: settings[key] for key in _QUADRATURE if key in settings})
+    return RunConfig(settings, constants, quadrature)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -232,8 +229,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        _write_atomic(cfg.out, text)
+    if cfg.settings["out"]:
+        _write_atomic(cfg.settings["out"], text)
     else:
         sys.stdout.write(text)
 
@@ -247,17 +244,18 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
     the column names, then one row per sample, each cell as ``_fmt``
     writes it.  With --emit-plot-script, ``plot`` formatted with the CSV's
     file name and ``plot_fields`` goes to ``<out>.gp``."""
-    config = f"# config: {json.dumps(cfg.snapshot, sort_keys=True)}"
+    config = f"# config: {json.dumps(cfg.settings, sort_keys=True)}"
     rows = (np.column_stack(list(columns.values())) + 0.0).tolist()  # + 0.0 as in _fmt
     lines = [config, *meta_lines, ",".join(columns), *(",".join(map(repr, row)) for row in rows)]
     _emit(cfg, "\n".join(lines) + "\n")
-    if cfg.emit_plot_script:
-        _write_atomic(cfg.out + ".gp", plot.format(csv=os.path.basename(cfg.out), **plot_fields))
+    out = cfg.settings["out"]
+    if cfg.settings.get("emit_plot_script"):
+        _write_atomic(out + ".gp", plot.format(csv=os.path.basename(out), **plot_fields))
 
 
 def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    """The one JSON report layout: ``doc`` plus the effective config."""
-    _emit(cfg, json.dumps({**doc, "config": cfg.snapshot}, indent=2, sort_keys=True) + "\n")
+    """The one JSON report layout: ``doc`` plus the settings read."""
+    _emit(cfg, json.dumps({**doc, "config": cfg.settings}, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:
@@ -599,7 +597,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
         "pi_nonnodal": dist.pi_nonnodal,
         "pi_nodal": dist.pi_nodal,
     }
-    if cfg.format == "json":
+    if cfg.settings["format"] == "json":
         taus = dist.tau_samples
         grid = {"tau_min": float(taus[0]), "tau_max": float(taus[-1]), "n_tau": int(taus.size)}
         lists = {name: column.tolist() for name, column in columns.items()}
@@ -621,17 +619,25 @@ def cmd_limits(cfg: RunConfig, args) -> int:
     return 0 if ok else 2
 
 
-_COMMANDS = {
-    "verify-algebra": cmd_verify_algebra,
-    "verify-spectral": cmd_verify_spectral,
-    "eigenfunction": cmd_eigenfunction,
-    "density-grid": cmd_density_grid,
-    "toa-dist": cmd_toa_dist,
-    "limits": cmd_limits,
+class _Subcommand(NamedTuple):
+    run: Callable[[RunConfig, argparse.Namespace], int]
+    formats: tuple[str, ...]  # the formats it writes, its default first; () for text
+    settings: tuple[str, ...]  # every setting it reads; any other is refused
+
+
+_CONSTANTS = tuple(f.name for f in fields(PhysConstants))
+_QUADRATURE = tuple(f.name for f in fields(QuadratureConfig))
+_SUBCOMMANDS = {
+    "verify-algebra": _Subcommand(cmd_verify_algebra, (), (*_CONSTANTS, "out")),
+    "verify-spectral": _Subcommand(cmd_verify_spectral, ("json",), (*_CONSTANTS, "format", "out")),
+    "eigenfunction": _Subcommand(cmd_eigenfunction, ("csv",), (*_CONSTANTS, "format", "out")),
+    "density-grid": _Subcommand(
+        cmd_density_grid, ("csv",), (*_CONSTANTS, *_QUADRATURE, "emit_plot_script", "format", "out")
+    ),
+    "toa-dist": _Subcommand(cmd_toa_dist, ("csv", "json"), (*_CONSTANTS, "emit_plot_script", "format", "out")),
+    # check_nonrel_operator takes each speed from --c-ladder
+    "limits": _Subcommand(cmd_limits, ("json",), ("hbar", "m0", "format", "out")),
 }
-# the formats a subcommand writes, its default first; the others write CSV or text
-_FORMATS = {"verify-spectral": ("json",), "limits": ("json",), "toa-dist": ("csv", "json")}
-_PLOT_COMMANDS = frozenset({"density-grid", "toa-dist"})
 
 
 def dispatch(argv=None) -> int:
@@ -639,8 +645,8 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        print("# effective config: " + json.dumps(cfg.snapshot, sort_keys=True), file=sys.stderr)
-        return _COMMANDS[args.command](cfg, args)
+        print("# effective config: " + json.dumps(cfg.settings, sort_keys=True), file=sys.stderr)
+        return _SUBCOMMANDS[args.command].run(cfg, args)
     except QuadratureConvergenceError as exc:
         print(f"rtoa: numerical convergence failure: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,8 @@ from .errors import GridMismatchError
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Positive action, speed and mass scales fixing the unit system."""
+    """Positive action, speed and mass scales fixing the unit system; the
+    Compton momentum m0 c and the rest energy m0 c^2 must be finite too."""
 
     hbar: float = 1.0
     c: float = 1.0
@@ -40,6 +41,12 @@ class PhysConstants:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        try:
+            scales = (self.momentum_scale, self.rest_energy)
+        except OverflowError:  # c**2
+            scales = (np.inf,)
+        if not np.all(np.isfinite(scales)):
+            raise ValueError(f"m0 c and m0 c^2 must be finite, got m0 = {self.m0!r} and c = {self.c!r}")
 
     @property
     def momentum_scale(self) -> float:

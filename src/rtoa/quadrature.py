@@ -84,17 +84,15 @@ class QuadratureConfig:
 
     ``epsilon`` is the exponential damping of the divergent integrands;
     the regulator is extrapolated away over :attr:`epsilon_ladder`,
-    which is worked out from it.  ``q_max`` may be left None, in which
-    case it resolves to max(50, 30/epsilon) so the damping factor is
-    below 1e-12 at the cutoff.  An explicit ``q_max`` is checked against
-    every regulator it is used with, so a ladder rung it would cut while
-    the damping is still >= 1e-12 is refused.  ``epsilon`` must be
-    finite; ``abs_tol`` and ``rel_tol`` must be finite, >= 0 and not
-    both 0, a target only an exact error estimate of 0 could meet.
+    which is worked out from it.  A regulator eps cuts the momentum
+    integral at max(50, 30/eps), where the damping exp(-eps q) is below
+    1e-12.  ``epsilon`` must be finite, and so must the cutoff of its
+    smallest rung epsilon/4; ``abs_tol`` and ``rel_tol`` must be finite,
+    >= 0 and not both 0, a target only an exact error estimate of 0 could
+    meet.
     """
 
     epsilon: float = 0.3
-    q_max: float | None = None
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_subdivisions: int = 10_000
@@ -107,10 +105,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.epsilon_ladder[-1] > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be finite and > 0, and so must its last ladder rung epsilon/4")
-        # refuses a q_max that does not damp epsilon; without q_max, a rung
-        # whose cutoff 30/rung overflows (epsilon/4 overflows first)
-        for rung in self.epsilon_ladder if self.q_max is None else (self.epsilon,):
-            self.cutoff(rung)
+        self.cutoff(self.epsilon_ladder[-1])  # the rung whose cutoff overflows first
         if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
             raise ValueError("abs_tol and rel_tol must be finite and >= 0")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
@@ -119,19 +114,10 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
 
     def cutoff(self, epsilon: float | None = None) -> float:
-        """The momentum cutoff for regulator ``epsilon``; an explicit
-        ``q_max`` that leaves damping >= 1e-12 there is refused, and so is
-        a cutoff that is not finite."""
+        """The momentum cutoff max(50, 30/epsilon) for regulator
+        ``epsilon``; a cutoff that is not finite is refused."""
         eps = self.epsilon if epsilon is None else epsilon
-        if self.q_max is None:
-            cut = max(50.0, 30.0 / eps)
-        elif math.exp(-eps * self.q_max) >= 1e-12:
-            raise ValueError(
-                f"q_max {self.q_max:g} too small for epsilon {eps:g}: "
-                "damping exceeds 1e-12 at the cutoff"
-            )
-        else:
-            cut = self.q_max
+        cut = max(50.0, 30.0 / eps)
         if not math.isfinite(cut):
             raise ValueError(f"momentum cutoff {cut:g} for epsilon {eps:g} is not finite")
         return cut

@@ -46,7 +46,7 @@ DEFAULT_HALF_WIDTH_SIGMAS = 8.0
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Minimum-uncertainty wavepacket on one charge block.
+    """Minimum-uncertainty wavepacket on the positive-charge block.
 
     The amplitude exp(-(p-p0)^2 / (m0 c)^2 - i x0 p / hbar) carries
     momentum spread m0 c / 2 and position spread hbar / (m0 c).
@@ -55,7 +55,6 @@ class GaussianState:
     p0: float
     x0: float
     k: PhysConstants = PhysConstants()
-    lam: ChargeSign = ChargeSign.POSITIVE
 
     def amplitude(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -86,10 +85,8 @@ class GaussianState:
     def field(self, grid=None) -> SpinorField:
         grid = self.default_grid() if grid is None else np.asarray(grid, dtype=float)
         amp = self.amplitude(grid)
-        zeros = np.zeros_like(amp)
-        up, lo = (amp, zeros) if self.lam is ChargeSign.POSITIVE else (zeros, amp)
         return SpinorField(
-            Representation.FESHBACH_VILLARS_PHI, Basis.MOMENTUM, grid, up, lo
+            Representation.FESHBACH_VILLARS_PHI, Basis.MOMENTUM, grid, amp, np.zeros_like(amp)
         )
 
     def moments(self, grid=None) -> dict[str, float]:
@@ -211,7 +208,6 @@ def toa_distribution(
             raise ValueError("constants k differ from the Gaussian state's own")
         kk = state.k
         field = state.field()
-        lam = state.lam
         if tau_range is None:
             tau_range = default_tau_range(state.p0, state.x0, kk)
     else:
@@ -223,7 +219,7 @@ def toa_distribution(
             raise ValueError("tau_range is required for sampled states")
         kk = k
         field = state
-        lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
+    lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
     lo, hi = tau_range
     if not lo < hi:
         raise ValueError(f"tau window must increase: got tau_range ({lo:g}, {hi:g})")

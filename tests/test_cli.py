@@ -250,9 +250,10 @@ class TestLimits:
 class TestConfigHandling:
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        # every default spelled out is accepted: null q_max and out, false
-        # emit_plot_script, an integer-valued float
-        cfg.write_text(json.dumps({**cli.CONFIG_DEFAULTS, "m0": 2, "format": "json"}))
+        # every default of a setting toa-dist reads spelled out is accepted:
+        # null out, false emit_plot_script, an integer-valued float
+        doc = {"hbar": 1.0, "c": 1.0, "m0": 2, "out": None, "format": "json", "emit_plot_script": False}
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "d.json"
         code, _, err = run(
             capsys,
@@ -261,7 +262,7 @@ class TestConfigHandling:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["config"]["m0"] == 2.0  # from file
+        assert payload["config"] == {**doc, "m0": 2.0, "out": str(out)}  # m0 from file, out from flag
         # photon time unchanged, classical time picks up the mass
         assert payload["t_class"] == pytest.approx(7.0 * math.sqrt(9.0 + 4.0) / 3.0)
 
@@ -437,6 +438,12 @@ class TestRefusedFlags:
             (["--emit-plot-script", "--out", "{out}"], ["verify-algebra"]),
             (["--format", "csv"], ["limits"]),
             (["--format", "csv"], ["verify-spectral"]),
+            # a setting the subcommand does not read
+            (["--rel-tol", "0.5"], TOA_ARGV),
+            (["--abs-tol", "0.1"], ["verify-spectral"]),
+            (["--c", "3"], ["limits"]),
+            (["--max-subdivisions", "5"], EIG_ARGV),
+            (["--format", "csv"], ["verify-algebra"]),
         ],
     )
     def test_flag_refused(self, tmp_path, capsys, flags, argv):
@@ -466,10 +473,11 @@ class TestRefusedFlags:
             ({"hbar": "1"}, EIG_ARGV),
             ({"c": True}, EIG_ARGV),
             ({"m0": 10**400}, EIG_ARGV),
-            ({"q_max": "x"}, DENSITY_ARGV),
+            ({"epsilon": 0.2}, TOA_ARGV),  # a setting the subcommand does not read
             ({"out": 5}, EIG_ARGV),
             ([], DENSITY_ARGV),
             (0.3, DENSITY_ARGV),
+            ({"c": 2.0}, ["limits"]),
         ],
     )
     def test_config_file_values_refused_the_same_way(self, tmp_path, capsys, doc, argv):
@@ -480,6 +488,64 @@ class TestRefusedFlags:
         assert code == 1
         assert "rtoa: error:" in err
         assert not out.exists() and not (tmp_path / "data.gp").exists()
+
+
+_CONSTANTS = {"hbar", "c", "m0"}
+SETTINGS_READ = {
+    "verify-algebra": (["verify-algebra"], {*_CONSTANTS, "out"}),
+    "verify-spectral": (["verify-spectral"], {*_CONSTANTS, "format", "out"}),
+    "eigenfunction": (EIG_ARGV, {*_CONSTANTS, "format", "out"}),
+    "density-grid": (
+        DENSITY_ARGV,
+        {*_CONSTANTS, "epsilon", "abs_tol", "rel_tol", "max_subdivisions", "emit_plot_script", "format", "out"},
+    ),
+    "toa-dist": (TOA_ARGV, {*_CONSTANTS, "emit_plot_script", "format", "out"}),
+    "limits": (["limits"], {"hbar", "m0", "format", "out"}),
+}
+
+
+class TestSettingsTable:
+    """Each subcommand reads one row of settings: the run echoes and embeds
+    exactly that row, and refuses every other setting."""
+
+    @pytest.mark.parametrize("command", SETTINGS_READ)
+    def test_config_holds_exactly_the_settings_read(self, tmp_path, capsys, command):
+        argv, read = SETTINGS_READ[command]
+        assert set(cli._SUBCOMMANDS[command].settings) == read
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "--out", str(out), *argv)
+        assert code == 0
+        (echo,) = [l for l in err.splitlines() if l.startswith("# effective config: ")]
+        assert set(json.loads(echo.split(": ", 1)[1])) == read
+        if command != "verify-algebra":  # its text embeds no config
+            text = out.read_text()
+            first = text.splitlines()[0]
+            csv = first.startswith("# config: ")
+            embedded = json.loads(first.split(": ", 1)[1]) if csv else json.loads(text)["config"]
+            assert set(embedded) == read
+        for key in cli.CONFIG_DEFAULTS.keys() - read:  # even at its default value
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: cli.CONFIG_DEFAULTS[key]}))
+            refused = tmp_path / "refused"
+            code, _, err = run(capsys, "--config", str(cfg), "--out", str(refused), *argv)
+            assert code == 1 and f"rtoa: error: {command} does not read {key};" in err
+            assert not refused.exists()
+
+    def test_every_setting_is_read_somewhere(self):
+        assert set(cli.CONFIG_DEFAULTS) == set().union(*(read for _, read in SETTINGS_READ.values()))
+        assert sum(len(read) for _, read in SETTINGS_READ.values()) == 34
+
+    def test_file_and_flag_spellings_write_identical_files(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m0": 2}))
+        texts = []
+        for flags in (["--config", str(cfg)], ["--m0", "2"]):
+            out = tmp_path / "eig.csv"
+            code, _, _ = run(capsys, *flags, "--out", str(out), *EIG_ARGV)
+            assert code == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b'"m0": 2.0' in texts[0]
 
 
 class TestNonFiniteNumbers:
@@ -571,6 +637,10 @@ class TestExitCodes:
             [*TOA_ARGV, "--tau-min", "10", "--tau-max", "5"],
             # pi / max|x| as the panel width makes the first-pass panel count infinite
             [*DENSITY_ARGV[:5], "--xmin=-1e308", "--xmax", "0", *DENSITY_ARGV[9:]],
+            # m0 c^2 overflows
+            ["--c", "1e200", "eigenfunction", "--tau", "1", "--n", "3"],
+            ["--c", "1e200", "verify-spectral"],
+            ["limits", "--c-ladder", "1e200", "1e201"],
         ],
     )
     def test_refused_without_a_traceback(self, tmp_path, capsys, argv):

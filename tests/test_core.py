@@ -33,6 +33,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             PhysConstants(**bad)
 
+    # c**2 overflows, m0 c overflows, m0 c^2 overflows
+    @pytest.mark.parametrize("big", [{"c": 1e200}, {"c": 1e10, "m0": 1e300}, {"c": 1e150, "m0": 1e10}])
+    def test_rejects_overflowing_scales(self, big):
+        with pytest.raises(ValueError, match="m0 c and m0 c\\^2 must be finite"):
+            PhysConstants(**big)
+
     def test_exact_conversion_is_exact(self):
         h, c, m = PhysConstants(hbar=0.5, c=2.0, m0=1.0).exact()
         assert (h, c, m) == (0.5, 2, 1)

@@ -261,15 +261,3 @@ class TestConfig:
             QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
         QuadratureConfig(abs_tol=0.0)  # one of them may be 0
         QuadratureConfig(rel_tol=0.0)
-
-    def test_explicit_qmax_must_damp(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(epsilon=0.3, q_max=10.0)
-        QuadratureConfig(epsilon=0.3, q_max=100.0)  # fine
-
-    def test_explicit_qmax_must_damp_every_rung(self):
-        q = QuadratureConfig(epsilon=0.3, q_max=100.0)
-        assert q.cutoff(0.3) == 100.0
-        # exp(-0.075 * 100) = 5.5e-4: that rung would be cut undamped
-        with pytest.raises(ValueError, match="too small for epsilon 0.075"):
-            q.cutoff(0.075)
