@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import PhysConstants
-from .errors import WindowInfeasibleError
 
 RationalLike = int | Fraction
 
@@ -334,7 +333,7 @@ def solve_conjugate_ansatz(
     before being returned.
     """
     if max_m < 1 or max_n < 1:
-        raise WindowInfeasibleError(
+        raise ValueError(
             f"window m in [-{max_m},{max_m}], n in [0,{max_n}] cannot hold the "
             "solution support {(1,1), (-1,1)}"
         )
@@ -355,7 +354,7 @@ def solve_conjugate_ansatz(
     op = BDOperator(terms)
 
     if commutator_with_H(op, k) != identity_times_ihbar(k):
-        raise WindowInfeasibleError(
+        raise ValueError(
             "windowed recurrences did not reproduce the conjugacy relation; "
             "the window is too small"
         )

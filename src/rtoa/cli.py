@@ -19,8 +19,11 @@ config file (--config, a flat JSON document) > built-in defaults; the
 settings read, and only those, are echoed to stderr and embedded in
 every emitted file.  Runs are fully deterministic: identical
 invocations produce byte-identical files.
-Exit codes: 0 success, 1 validation failure (non-finite numbers
-included), 2 numerical-convergence failure.
+Exit codes: 0 success; 1 for a ValueError, how every routine refuses an
+input (non-finite numbers included), or an OSError on a file; 2 for a
+QuadratureConvergenceError or a failed check.  A time that does not
+exist (t_class at p0 = 0, tau_mp when the window does not bracket the
+maximum) is null in JSON and left out of the CSV header.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ import numpy as np
 from . import algebra
 from .core import ChargeSign, PhysConstants, Representation, Basis, SpinorField, inner_product_phi
 from .dynamics import density_grid
-from .errors import QuadratureConvergenceError, RangeBoundaryError
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, QuadratureConvergenceError
 from .spectral import (
     EigenSpec,
     Parity,
@@ -55,10 +57,11 @@ from .spectral import (
     overlap_numeric,
 )
 from .toa import (
+    DEFAULT_N_TAU,
     classical_references,
     gaussian_state,
     most_probable_tau,
-    photon_time,
+    photon_time,  # not called here; perfbench/tracing.py wraps this name
     toa_distribution,
 )
 
@@ -68,6 +71,9 @@ class RunConfig:
     constants: PhysConstants
     quadrature: QuadratureConfig
 
+
+# the speeds c of the non-relativistic limit check, ascending
+_C_LADDER = (10.0, 100.0, 1000.0)
 
 # format None: the subcommand's own, the first of its table row's formats
 CONFIG_DEFAULTS = {
@@ -158,10 +164,10 @@ def _build_parser() -> _Parser:
     td.add_argument("--x0", type=_finite, required=True)
     td.add_argument("--tau-min", type=_finite, dest="tau_min")
     td.add_argument("--tau-max", type=_finite, dest="tau_max")
-    td.add_argument("--n-tau", type=int, dest="n_tau", default=2001)
+    td.add_argument("--n-tau", type=int, dest="n_tau", default=DEFAULT_N_TAU)
 
     lm = sub.add_parser("limits", help="non-relativistic limit report as JSON")
-    lm.add_argument("--c-ladder", type=_finite, nargs="+", default=[10.0, 100.0, 1000.0])
+    lm.add_argument("--c-ladder", type=_finite, nargs="+", default=_C_LADDER)
 
     return parser
 
@@ -235,8 +241,23 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _plain(value):
+    """``value`` as both writers print it: every float with negative zero
+    folded to 0.0 (x + 0.0), an array as nested lists, and a dict, list
+    or tuple item by item."""
+    if isinstance(value, np.ndarray):
+        return (value + 0.0).tolist()
+    if isinstance(value, float):
+        return value + 0.0
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _fmt(x: float) -> str:
-    return repr(float(x) + 0.0)  # + 0.0 folds negative zero
+    return repr(_plain(float(x)))
 
 
 def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_fields) -> None:
@@ -245,7 +266,7 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
     writes it.  With --emit-plot-script, ``plot`` formatted with the CSV's
     file name and ``plot_fields`` goes to ``<out>.gp``."""
     config = f"# config: {json.dumps(cfg.settings, sort_keys=True)}"
-    rows = (np.column_stack(list(columns.values())) + 0.0).tolist()  # + 0.0 as in _fmt
+    rows = _plain(np.column_stack(list(columns.values())))
     lines = [config, *meta_lines, ",".join(columns), *(",".join(map(repr, row)) for row in rows)]
     _emit(cfg, "\n".join(lines) + "\n")
     out = cfg.settings["out"]
@@ -255,7 +276,7 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
 
 def _emit_json(cfg: RunConfig, doc: dict) -> None:
     """The one JSON report layout: ``doc`` plus the settings read."""
-    _emit(cfg, json.dumps({**doc, "config": cfg.settings}, indent=2, sort_keys=True) + "\n")
+    _emit(cfg, json.dumps(_plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:
@@ -496,7 +517,7 @@ def spectral_report(cfg: RunConfig, full: bool = False) -> dict:
         "symmetry": check_symmetry(k, lambda n: _bump_states(n, 5)),
         "overlap": check_overlap(k),
         "completeness": check_completeness(k, ladder),
-        "nonrel_limit": check_nonrel_limit(k, [10.0, 100.0, 1000.0]),
+        "nonrel_limit": check_nonrel_limit(k, _C_LADDER),
     }
     return {"checks": checks, "pass": all(chk["pass"] for chk in checks.values())}
 
@@ -582,15 +603,8 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
         raise ValueError("give both --tau-min and --tau-max or neither")
     tau_range = None if args.tau_min is None else (args.tau_min, args.tau_max)
     dist = toa_distribution(state, tau_range, args.n_tau)
-    t_ph = photon_time(args.p0, args.x0, k)
-    t_class = None
-    if args.p0 != 0.0:
-        t_class = classical_references(args.p0, args.x0, k)[0]
-    try:
-        tau_mp = most_probable_tau(dist)
-    except RangeBoundaryError:
-        tau_mp = None
-    meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": tau_mp, "window_integral": dist.integral()}
+    t_class, t_ph = classical_references(args.p0, args.x0, k)
+    meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": most_probable_tau(dist), "window_integral": dist.integral()}
     columns = {
         "tau": dist.tau_samples,
         "pi_total": dist.pi_values,
@@ -600,8 +614,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
     if cfg.settings["format"] == "json":
         taus = dist.tau_samples
         grid = {"tau_min": float(taus[0]), "tau_max": float(taus[-1]), "n_tau": int(taus.size)}
-        lists = {name: column.tolist() for name, column in columns.items()}
-        _emit_json(cfg, {"state": {"p0": args.p0, "x0": args.x0}, **meta, "grid": grid, **lists})
+        _emit_json(cfg, {"state": {"p0": args.p0, "x0": args.x0}, **meta, "grid": grid, **columns})
     else:
         header = {"p0": args.p0, "x0": args.x0, **meta}
         line = "# " + "  ".join(f"{n}: {_fmt(v)}" for n, v in header.items() if v is not None)
@@ -650,7 +663,7 @@ def dispatch(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"rtoa: numerical convergence failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"rtoa: error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,8 +24,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 
 @dataclass(frozen=True)
 class PhysConstants:
@@ -136,7 +134,7 @@ class SpinorField:
 
 def _require_same_grid(a: SpinorField, b: SpinorField) -> None:
     if a.grid.shape != b.grid.shape or not np.array_equal(a.grid, b.grid):
-        raise GridMismatchError("fields are sampled on different grids")
+        raise ValueError("fields are sampled on different grids")
 
 
 def inner_product_phi(a: SpinorField, b: SpinorField) -> complex:

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
-
 # 15-point Kronrod extension of 7-point Gauss-Legendre (positive half).
 _XGK = np.array([
     0.991455371120812639206854697526329,
@@ -76,6 +74,19 @@ GK_WEIGHTS = np.concatenate([_WGK[:7], _WGK[::-1]])
 # embedded Gauss-7 weights on the same nodes (zero on Kronrod-only nodes)
 G_WEIGHTS = np.zeros(15)
 G_WEIGHTS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Adaptive quadrature exhausted its subdivision budget.
+
+    ``estimate`` holds the best value reached and ``error`` the
+    achieved error estimate.
+    """
+
+    def __init__(self, message: str, estimate, error: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -212,9 +223,9 @@ def adaptive_quadrature(
     a: float,
     b: float,
     *,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-    max_subdivisions: int = 10_000,
+    abs_tol: float = QuadratureConfig.abs_tol,
+    rel_tol: float = QuadratureConfig.rel_tol,
+    max_subdivisions: int = QuadratureConfig.max_subdivisions,
     max_width: float | None = None,
     n_out: int = 1,
     members: int | None = None,
@@ -306,9 +317,9 @@ def integrate_sqrt_endpoint(
     b: float,
     *,
     max_width: float | None = None,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-    max_subdivisions: int = 10_000,
+    abs_tol: float = QuadratureConfig.abs_tol,
+    rel_tol: float = QuadratureConfig.rel_tol,
+    max_subdivisions: int = QuadratureConfig.max_subdivisions,
     n_out: int = 1,
     members: int | None = None,
     raise_on_failure: bool = True,

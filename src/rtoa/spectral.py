@@ -38,7 +38,6 @@ from .core import (
     kinetic_energy,
     trapezoid_weights,
 )
-from .errors import DivergentOverlapError, SingularPointError
 from .quadrature import QuadratureConfig, adaptive_quadrature, extrapolate_to_zero
 
 
@@ -299,7 +298,7 @@ def apply_even_toa(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spinor
             np.max(np.abs(f.upper[near_zero])) > VANISH_TOL * scale
             or np.max(np.abs(f.lower[near_zero])) > VANISH_TOL * scale
         ):
-            raise SingularPointError(
+            raise ValueError(
                 "grid reaches p = 0 where the field does not vanish"
             )
     half_i_hbar = 0.5j * k.hbar
@@ -378,7 +377,7 @@ def overlap_numeric(
     if s1.lam is not s2.lam or s1.parity is not s2.parity:
         return 0.0 + 0.0j
     if s1.tau == s2.tau:
-        raise DivergentOverlapError(
+        raise ValueError(
             "equal eigenvalues: only the distributional part survives"
         )
     q = QuadratureConfig()

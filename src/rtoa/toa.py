@@ -31,17 +31,12 @@ from .core import (
     momentum_grid,
     trapezoid_weights,
 )
-from .errors import (
-    ClassicalTimeUndefinedError,
-    PhaseOverflowError,
-    RangeBoundaryError,
-    StateTruncationError,
-)
 from .spectral import Parity, amplitude_sums, eigen_amplitude_modulus
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
 DEFAULT_HALF_WIDTH_SIGMAS = 8.0
+DEFAULT_N_TAU = 2001
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def _check_edge_decay(grid: np.ndarray, amp: np.ndarray) -> None:
     if peak == 0.0:
         raise ValueError("state is identically zero")
     if prob[0] > EDGE_DECAY_TOL * peak or prob[-1] > EDGE_DECAY_TOL * peak:
-        raise StateTruncationError(
+        raise ValueError(
             "state has not decayed below 1e-12 of its peak probability at the "
             "grid edges; widen the momentum grid"
         )
@@ -152,7 +147,7 @@ def _branch_amplitudes(
     width = (n - 1) * abs(step)
     fastest = float(kinetic_energy(grid[[0, -1]], e[[0, -1]], k).max())
     if not math.isfinite(max(abs(tau0), width) * fastest / k.hbar):
-        raise PhaseOverflowError(
+        raise ValueError(
             f"tau window [{tau0:g}, {tau0 + width:g}] is so wide that the phases "
             "tau T_p / hbar are not finite"
         )
@@ -189,7 +184,7 @@ class ToaDistribution:
 def toa_distribution(
     state: GaussianState | SpinorField,
     tau_range: tuple[float, float] | None = None,
-    n_tau: int = 2001,
+    n_tau: int = DEFAULT_N_TAU,
     k: PhysConstants | None = None,
 ) -> ToaDistribution:
     """Evaluate both branch overlaps on a tau grid.
@@ -255,34 +250,31 @@ def photon_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> flo
     return -x0 * math.copysign(1.0, p0) / k.c
 
 
-def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> float:
-    """Free classical relativistic arrival time at the origin."""
+def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> float | None:
+    """Free classical relativistic arrival time at the origin; None at
+    p0 = 0, where it is undefined."""
     if p0 == 0.0:
-        raise ClassicalTimeUndefinedError(
-            "classical arrival time is undefined at p0 = 0",
-            t_ph=photon_time(p0, x0, k),
-        )
+        return None
     return -x0 * math.sqrt(p0**2 + (k.momentum_scale) ** 2) / (p0 * k.c)
 
 
 def classical_references(
     p0: float, x0: float, k: PhysConstants = PhysConstants()
-) -> tuple[float, float]:
+) -> tuple[float | None, float]:
     """(t_class, t_ph) reference arrival times for mean momentum p0 and
-    mean position x0."""
+    mean position x0; t_class is None at p0 = 0."""
     return classical_time(p0, x0, k), photon_time(p0, x0, k)
 
 
-def most_probable_tau(d: ToaDistribution) -> float:
+def most_probable_tau(d: ToaDistribution) -> float | None:
     """Location of the distribution maximum, refined by a three-point
-    parabolic fit around the maximal sample."""
+    parabolic fit around the maximal sample; None when the maximum sits
+    on an end of the tau window, which then does not bracket it."""
     if d.tau_samples.size == 1:
         return float(d.tau_samples[0])
     j = int(np.argmax(d.pi_values))
     if j == 0 or j == d.tau_samples.size - 1:
-        raise RangeBoundaryError(
-            "distribution maximum sits on the tau-range boundary; widen the range"
-        )
+        return None
     y0, y1, y2 = d.pi_values[j - 1 : j + 2]
     denom = y0 - 2.0 * y1 + y2
     if denom == 0.0:

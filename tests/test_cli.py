@@ -3,6 +3,7 @@ config precedence, determinism, and exit codes."""
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -225,12 +226,30 @@ class TestToaDist:
             )
             assert code == 0
             texts[fmt] = out.read_text()
-        (line,) = [l for l in texts["csv"].splitlines() if l.startswith("# p0:")]
-        fields = dict(f.split(": ") for f in line[2:].split("  "))
+        fields = csv_header(texts["csv"])
         assert list(fields)[-1] == "window_integral"
         mass = json.loads(texts["json"])["window_integral"]
         assert float(fields["window_integral"]) == mass
         assert 0.8 < mass < 0.9  # a slow packet leaves ~15% of its mass outside [-80, 80]
+
+    @pytest.mark.parametrize(
+        "argv, undefined",
+        [
+            (["--p0", "0", "--x0", "-7"], "t_class"),  # a packet at rest has no classical time
+            (["--p0", "3", "--x0", "-7", "--tau-min", "0", "--tau-max", "5"], "tau_mp"),  # peak near 7.4
+        ],
+    )
+    def test_undefined_time_is_left_out_of_csv_and_null_in_json(self, tmp_path, capsys, argv, undefined):
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"dist.{fmt}"
+            code, _, _ = run(capsys, "--out", str(out), "--format", fmt, "toa-dist", *argv, "--n-tau", "101")
+            assert code == 0
+            texts[fmt] = out.read_text()
+        fields = csv_header(texts["csv"])
+        payload = json.loads(texts["json"])
+        assert undefined not in fields and payload[undefined] is None
+        assert {"t_ph", "t_class", "tau_mp"} - {undefined} <= set(fields)
 
 
 class TestLimits:
@@ -311,6 +330,12 @@ class TestConfigHandling:
         capsys.readouterr()
 
 
+def csv_header(text):
+    """Field name -> value string of the ``# p0:`` header line of a toa-dist CSV."""
+    (line,) = [l for l in text.splitlines() if l.startswith("# p0:")]
+    return dict(f.split(": ") for f in line[2:].split("  "))
+
+
 def csv_table(text):
     """Column name -> list of cell strings of one CSV the CLI wrote."""
     header, *rows = [l for l in text.splitlines() if not l.startswith("#")]
@@ -322,20 +347,26 @@ class TestWriters:
     negative zero is folded, and the two toa-dist formats carry the same
     columns bit for bit."""
 
-    def test_toa_dist_csv_and_json_carry_identical_columns(self, tmp_path, capsys):
+    @pytest.mark.parametrize("x0", ["-7", "0"])  # at x0 = 0, t_ph and t_class are -0.0 before folding
+    def test_toa_dist_csv_and_json_carry_identical_columns(self, tmp_path, capsys, x0):
         texts = {}
         for fmt in ("csv", "json"):
             out = tmp_path / f"dist.{fmt}"
             code, _, _ = run(
                 capsys,
                 "--out", str(out), "--format", fmt,
-                "toa-dist", "--p0", "2", "--x0", "-7", "--n-tau", "151",
+                "toa-dist", "--p0", "2", "--x0", x0, "--n-tau", "151",
             )
             assert code == 0
             texts[fmt] = out.read_text()
+            assert "-0.0" not in re.split(r"[\s,:\[\]]+", texts[fmt])
         table = csv_table(texts["csv"])
         payload = json.loads(texts["json"])
-        dist = toa_distribution(gaussian_state(2.0, -7.0), None, 151)
+        header = csv_header(texts["csv"])
+        json_header = {**payload["state"], **{name: payload[name] for name in list(header)[2:]}}
+        assert header == {name: repr(value) for name, value in json_header.items()}
+        assert list(header) == ["p0", "x0", "t_ph", "t_class", "tau_mp", "window_integral"]
+        dist = toa_distribution(gaussian_state(2.0, float(x0)), None, 151)
         library = {
             "tau": dist.tau_samples,
             "pi_total": dist.pi_values,
@@ -650,6 +681,14 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith("rtoa: error:")
         assert "Traceback" not in err
         assert stdout == "" and not out.exists()
+
+    def test_malformed_config_file_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{")
+        code, stdout, err = run(capsys, "--config", str(cfg), "verify-algebra")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error:")
+        assert "Traceback" not in err and stdout == ""
 
     def test_bad_constants(self, capsys):
         code, _, _ = run(capsys, "--m0", "-2", "verify-algebra")

@@ -15,7 +15,6 @@ from rtoa.core import (
     momentum_grid,
     trapezoid_weights,
 )
-from rtoa.errors import GridMismatchError
 
 from conftest import phi_field
 
@@ -129,7 +128,7 @@ class TestInnerProduct:
     def test_grid_mismatch(self):
         a = phi_field(np.linspace(0, 1, 5), np.ones(5))
         b = phi_field(np.linspace(0, 2, 5), np.ones(5))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError, match="fields are sampled on different grids"):
             inner_product_phi(a, b)
 
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rtoa import quadrature
-from rtoa.errors import QuadratureConvergenceError
 from rtoa.quadrature import (
     QuadratureConfig,
+    QuadratureConvergenceError,
     adaptive_quadrature,
     extrapolate_to_zero,
     integrate_sqrt_endpoint,

@@ -6,11 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from rtoa import spectral, toa
 from rtoa.core import ChargeSign, PhysConstants, energy, momentum_grid, trapezoid_weights
-from rtoa.errors import (
-    ClassicalTimeUndefinedError,
-    RangeBoundaryError,
-    StateTruncationError,
-)
 from rtoa.spectral import Parity, eigen_amplitude_modulus
 from rtoa.toa import (
     GaussianState,
@@ -72,7 +67,7 @@ class TestOverlap:
     def test_truncation_flagged(self):
         state = gaussian_state(3.0, -7.0, K)
         narrow = state.field(np.linspace(2.0, 4.0, 501))
-        with pytest.raises(StateTruncationError):
+        with pytest.raises(ValueError, match="has not decayed below 1e-12"):
             point_overlap(narrow, Parity.NONNODAL, 1.0)
 
     def test_overlap_peaks_near_classical_time(self):
@@ -103,9 +98,7 @@ class TestReferences:
         assert t_cl / t_ph == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_momentum_carries_photon_time(self):
-        with pytest.raises(ClassicalTimeUndefinedError) as exc:
-            classical_references(0.0, -7.0, K)
-        assert exc.value.t_ph == 7.0
+        assert classical_references(0.0, -7.0, K) == (None, 7.0)
 
     def test_photon_follows_direction_of_motion(self):
         t_cl, t_ph = classical_references(-3.0, 7.0, K)
@@ -168,8 +161,7 @@ class TestDistribution:
 
     def test_boundary_maximum_flagged(self):
         d = toa_distribution(gaussian_state(3.0, -7.0, K), (0.0, 5.0), 101)
-        with pytest.raises(RangeBoundaryError):
-            most_probable_tau(d)  # peak sits near 7.4, outside the window
+        assert most_probable_tau(d) is None  # peak sits near 7.4, outside the window
 
     def test_single_sample(self):
         d = ToaDistribution(np.array([2.5]), np.array([1.0]), np.array([0.6]), np.array([0.4]))
