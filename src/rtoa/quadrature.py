@@ -148,19 +148,16 @@ class QuadratureResult:
     member_converged: np.ndarray | None = None
 
 
-def _gk15(f, panels: np.ndarray, members: int, n_out: int, cols):
-    """GK15 on a batch of panels.  Returns Kronrod values
-    (n_panels, n_cols, n_out) and QUADPACK-style error estimates
-    (n_panels, n_cols) for the member columns ``cols`` (all when None)."""
+def _gk15(f, panels: np.ndarray, members: int, n_out: int):
+    """GK15 on a batch of panels, summed for every member.  Returns
+    Kronrod values (n_panels, members, n_out) and QUADPACK-style error
+    estimates (n_panels, members)."""
     a = panels[:, 0]
     half = 0.5 * (panels[:, 1] - panels[:, 0])
     center = a + half
     x = center[:, None] + half[:, None] * GK_NODES[None, :]
     fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(panels.shape[0], GK_NODES.size, members, n_out)
-    if cols is not None:
-        fx = fx[:, :, cols]
-    fx = fx.reshape(panels.shape[0], GK_NODES.size, -1)
+    fx = fx.reshape(panels.shape[0], GK_NODES.size, members * n_out)
     resk = np.einsum("j,pjo->po", GK_WEIGHTS, fx)
     resg = np.einsum("j,pjo->po", G_WEIGHTS, fx)
     if not fx.flags.writeable:
@@ -189,16 +186,18 @@ def _blocks(panels: np.ndarray, members: int, n_out: int):
     return (panels[i : i + step] for i in range(0, panels.shape[0], step))
 
 
-def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, cols=None):
-    """The per-panel table of :func:`_gk15`, evaluated block by block
-    into one preallocated table, so the peak is the table plus one block."""
-    n_cols = members if cols is None else len(cols)
-    values = np.empty((panels.shape[0], n_cols, n_out))
-    errors = np.empty((panels.shape[0], n_cols))
+def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, act: np.ndarray):
+    """The per-panel table of :func:`_gk15` for the members ``act``,
+    evaluated block by block into one preallocated table, so the peak is
+    the table plus one block.  Each block is summed for every member and
+    the table keeps the columns of ``act``."""
+    values = np.empty((panels.shape[0], act.size, n_out))
+    errors = np.empty((panels.shape[0], act.size))
     start = 0
     for block in _blocks(panels, members, n_out):
         stop = start + block.shape[0]
-        values[start:stop], errors[start:stop] = _gk15(f, block, members, n_out, cols)
+        block_values, block_errors = _gk15(f, block, members, n_out)
+        values[start:stop], errors[start:stop] = block_values[:, act], block_errors[:, act]
         start = stop
     return values, errors
 
@@ -208,7 +207,7 @@ def _sweep(f, panels: np.ndarray, members: int, n_out: int):
     per-panel table."""
     total, total_err = np.zeros((members, n_out)), np.zeros(members)
     for block in _blocks(panels, members, n_out):
-        values, errors = _gk15(f, block, members, n_out, None)
+        values, errors = _gk15(f, block, members, n_out)
         total += values.sum(axis=0)
         total_err += errors.sum(axis=0)
     return total, total_err
@@ -266,8 +265,7 @@ def adaptive_quadrature(
         value[done], error[done] = total[done], total_err[done]
         act = act[~done]
     if act.size:
-        cols = None if act.size == n_members else act
-        values, errors = _evaluate_panels(f, panels, n_members, n_out, cols)
+        values, errors = _evaluate_panels(f, panels, n_members, n_out, act)
     span = b - a
     while act.size:
         total = values.sum(axis=0)
@@ -302,8 +300,7 @@ def adaptive_quadrature(
         children = np.concatenate(
             [np.stack([bad[:, 0], mid], axis=1), np.stack([mid, bad[:, 1]], axis=1)]
         )
-        cols = None if act.size == n_members else act
-        child_vals, child_errs = _evaluate_panels(f, children, n_members, n_out, cols)
+        child_vals, child_errs = _evaluate_panels(f, children, n_members, n_out, act)
         panels = np.concatenate([panels[~refine], children])
         values = np.concatenate([values[~refine], child_vals])
         errors = np.concatenate([errors[~refine], child_errs])

@@ -135,22 +135,19 @@ def fornberg_weights(x0: float | np.ndarray, xs: np.ndarray, order: int) -> np.n
     return w[order]
 
 
-# The four end nodes, whose stencils are clipped to the grid's ends.
-_ENDS = [0, 1, -2, -1]
-
-
 class _GridTable:
     """What the operator layer derives from one grid alone, each part
     built on its first use and kept while calls come on an equal grid.
 
     The derivative part is the spacing decision h (None off a grid
-    uniform to rtol 1e-12), the stencils of the four end nodes, and the
-    Fornberg weights of the end nodes and, off a uniform grid, of the
-    interior ones, cast once per dtype a call asks for.  The physics part
-    belongs to the last constants used on the grid: the zero-node mask
-    (None when no node is exactly 0), first and second, 2p, 2/p, 1/p^2
-    and E_p, all real.  Each part is one tuple, replaced whole, so a
-    reader in another thread sees a whole part or the previous one."""
+    uniform to rtol 1e-12), the weighted nodes (the four end nodes of a
+    uniform grid, every node otherwise), their 5-point stencils, and
+    their Fornberg weights, real and complex, shaped (m, 1, 5) for
+    matmul.  The physics part belongs to the last constants used on the
+    grid: the zero-node mask (None when no node is exactly 0), first and
+    second, 2p, 2/p, 1/p^2 and E_p, all real.  Each part is one tuple,
+    replaced whole, so a reader in another thread sees a whole part or
+    the previous one."""
 
     __slots__ = ("grid", "_derivative", "_physics")
 
@@ -159,9 +156,8 @@ class _GridTable:
         self._derivative = None
         self._physics = None
 
-    def derivative(self, dtype):
-        """(h, end stencils, (end weights, interior weights or None)) for
-        values of ``dtype``; weights are shaped (m, 1, 5) for matmul."""
+    def derivative(self):
+        """(h, nodes, stencils, real weights, complex weights)."""
         part = self._derivative
         if part is None:
             grid, n = self.grid, self.grid.size
@@ -169,14 +165,10 @@ class _GridTable:
                 h, nodes = grid[1] - grid[0], np.array([0, 1, n - 2, n - 1])
             else:
                 h, nodes = None, np.arange(n)
-            stencil = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
-            w = fornberg_weights(grid[nodes], grid[stencil], 1)[:, None, :]
-            weights = (w[_ENDS], None if h is not None else w[2:-2].copy())
-            part = self._derivative = (h, stencil[_ENDS], {np.dtype(float): weights})
-        h, ends, weights = part
-        if dtype not in weights:
-            weights[dtype] = tuple(None if w is None else w.astype(dtype) for w in weights[np.dtype(float)])
-        return h, ends, weights[dtype]
+            stencils = np.clip(nodes - 2, 0, n - 5)[:, None] + np.arange(5)
+            w = fornberg_weights(grid[nodes], grid[stencils], 1)[:, None, :]
+            part = self._derivative = (h, nodes, stencils, w, w.astype(complex))
+        return part
 
     def physics(self, k: PhysConstants):
         """(zero-node mask or None, first, second, 2p, 2/p, 1/p^2, E_p)
@@ -222,34 +214,32 @@ def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     1e-12, whose interior keeps the closed-form centered stencil: the
     benchmark reference pins the conjugacy order that stencil gives.
 
-    The spacing decision, the end stencils and the weights come from the
-    grid's table (see _GridTable), keyed on the grid's bits and kept while
-    calls come on an equal grid, as operator checks do (one call per
-    component and field).  Off a uniform grid the interior stencils read
-    a sliding window over a contiguous copy of ``values``; each node is
-    still one 1x5 @ 5x1 product, summed as the 1-D ``w @ v`` does, so the
-    result is bitwise that of gathering the stencils.  A strided view
-    read in place would take another matmul path and change the last
-    bits.  Values are taken as float64, or complex128 if complex, and the
-    centered stencil runs in place on the output."""
+    The spacing decision, the weighted nodes, their stencils and weights
+    come from the grid's table (see _GridTable), keyed on the grid's bits
+    and kept while calls come on an equal grid, as operator checks do
+    (one call per component and field).  The centered stencil runs in
+    place on the output; then one matmul of the weights with the
+    gathered stencil samples gives every weighted node, each a 1x5 @ 5x1
+    product.  Values are taken as float64, or complex128 if complex, and
+    must have the grid's shape."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
-    values = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
+    values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if grid.size < 5:
         raise ValueError("need at least 5 samples")
+    if values.shape != grid.shape:
+        raise ValueError(f"values of shape {values.shape} do not match the grid's {grid.shape}")
+    h, nodes, stencils, w_real, w_complex = _grid_table(grid).derivative()
     out = np.empty_like(values)
-    h, ends, (w_ends, w_inner) = _grid_table(grid).derivative(values.dtype)
-    inner = out[2:-2]
     if h is not None:
+        inner = out[2:-2]
         np.multiply(8.0, values[1:-3], out=inner)
         np.subtract(values[:-4], inner, out=inner)
         inner += 8.0 * values[3:-1]
         inner -= values[4:]
         inner /= 12.0 * h
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(values, 5)[:, :, None]
-        np.matmul(w_inner, windows, out=inner[:, None, None])
-    out[_ENDS] = np.matmul(w_ends, values[ends][:, :, None])[:, 0, 0]
+    w = w_complex if values.dtype == complex else w_real
+    out[nodes] = np.matmul(w, values[stencils][:, :, None])[:, 0, 0]
     return out
 
 
@@ -493,11 +483,17 @@ def completeness_check(
     blocks as the sums.  The rest phase the sums leave out cancels
     between the two.
     """
-    if tau_window <= 0.0 or tau_step <= 0.0:
-        raise ValueError("tau window and step must be positive")
+    if not (0.0 < tau_window < math.inf and 0.0 < tau_step < math.inf):
+        raise ValueError("tau window and step must be finite and positive")
+    steps = 2.0 * tau_window / tau_step
+    if not math.isfinite(steps) or round(steps) < 1:
+        raise ValueError(
+            f"tau step {tau_step:g} must leave at least two, and finitely many, "
+            f"samples in [-{tau_window:g}, {tau_window:g}]"
+        )
     grid = test_fn.grid
     wp = trapezoid_weights(grid)
-    n_tau = int(round(2.0 * tau_window / tau_step)) + 1
+    n_tau = int(round(steps)) + 1
     h = 2.0 * tau_window / (n_tau - 1)
     wt = h * trapezoid_weights(np.arange(n_tau, dtype=float))
     e = energy(grid, k)

@@ -228,6 +228,12 @@ class TestDifferentiate:
         with pytest.raises(ValueError):
             differentiate(np.arange(4.0), np.arange(4.0))
 
+    @pytest.mark.parametrize("n_values", [12, 8])
+    def test_values_of_another_shape_refused(self, n_values):
+        # longer values would leave tail entries unwritten, shorter ones would be read past their end
+        with pytest.raises(ValueError, match="do not match the grid"):
+            differentiate(np.linspace(0.0, 1.0, 10), np.arange(float(n_values)))
+
     @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2])
     def test_real_in_real_out_complex_in_complex_out(self, grid):
         assert differentiate(grid, np.cos(grid)).dtype == np.float64
@@ -237,9 +243,8 @@ class TestDifferentiate:
         grid = np.linspace(0.45, 5.05, 8193)
         assert not np.allclose(np.diff(grid), grid[1] - grid[0], rtol=1e-12, atol=0.0)
         f = bump(grid, 0.5, 5.0) * np.exp(-3.0j * grid**2)
-        want = differentiate_per_node(grid, f)
-        got = differentiate(grid, f)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # every node is one gathered 1x5 @ 5x1 product, bitwise the scalar loop
+        assert np.array_equal(differentiate(grid, f), differentiate_per_node(grid, f))
 
 
 class TestEvenOperator:
@@ -656,6 +661,15 @@ class TestCompleteness:
             tracemalloc.stop()
         tables = (89 + 90) * 4097 * 16  # n_tau = 8001, B = 89
         assert peak - tables < 4 * spectral._SUM_VALUES * 16
+
+    @pytest.mark.parametrize(
+        "tau_window, tau_step",
+        [(1.0, 4.0), (1.0, 5.0), (math.inf, 0.1), (1.0, math.inf), (math.nan, 0.1), (1.0, 0.0), (1e308, 1e-10)],
+    )
+    def test_window_and_step_without_two_finite_samples_refused(self, tau_window, tau_step):
+        f = gaussian_state(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 65))
+        with pytest.raises(ValueError, match="tau"):
+            completeness_check(f, tau_window, tau_step, K)
 
     def test_error_small_and_decreasing(self):
         f = gaussian_state(3.0, 0.0, K).field(np.linspace(-2.0, 8.0, 2049))
