@@ -197,7 +197,8 @@ def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, act: np.nd
     for block in _blocks(panels, members, n_out):
         stop = start + block.shape[0]
         block_values, block_errors = _gk15(f, block, members, n_out)
-        values[start:stop], errors[start:stop] = block_values[:, act], block_errors[:, act]
+        # take, not [:, act]: 4 against 22 us for a density-ladder block (2-vCPU Xeon)
+        values[start:stop], errors[start:stop] = block_values.take(act, axis=1), block_errors.take(act, axis=1)
         start = stop
     return values, errors
 

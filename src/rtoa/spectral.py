@@ -223,7 +223,6 @@ def differentiate(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     product.  Values are taken as float64, or complex128 if complex, and
     must have the grid's shape."""
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values)
     values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if grid.size < 5:
         raise ValueError("need at least 5 samples")
