@@ -408,8 +408,8 @@ def check_overlap(k: PhysConstants) -> dict:
     tau = 0.5, 1, 2, 5 hbar / (m0 c^2), and the exact zeros between charge
     sectors and between parities.
 
-    The numeric route runs once per separation, on the (lambda = +1,
-    non-nodal) pair; its exact images cover the other fixtures.  The
+    The numeric route is one quadrature per separation, on the (lambda =
+    +1, non-nodal) pair; its exact images cover the other fixtures.  The
     nodal value is the non-nodal one (the integrand holds sgn(p)^2 = 1)
     and lambda = -1 gives -conj of the lambda = +1 value (the charge only
     flips the sign of the frequency).  tests/test_spectral.py pins both

@@ -1,16 +1,16 @@
 """Shared physical ingredients: constants, relativistic dispersion, and
-two-component momentum/position fields.
+two-component momentum-space fields.
 
 Conventions
 -----------
 - Natural units by default: hbar = c = m0 = 1, overridable through
   :class:`PhysConstants`.
 - Unit charge e = 1; charge densities are reported in units of e.
-- Two-component fields carry a representation tag: the Schrodinger form
-  (components phi, chi) or the Feshbach-Villars form (components
-  phi_plus, phi_minus) in which the free Hamiltonian is diagonal,
-  E_p * sigma3, and the indefinite inner product is
-  <a|b> = Integral a^dagger sigma3 b dp.
+- Two-component fields are sampled in momentum space in the
+  Feshbach-Villars form (components phi_plus, phi_minus), in which the
+  free Hamiltonian is diagonal, E_p * sigma3, and the indefinite inner
+  product is <a|b> = Integral a^dagger sigma3 b dp.  Each field carries
+  that representation and basis as tags, the only members of their enums.
 - Integrals over stored grids use composite trapezoidal quadrature;
   structural identities are meant to be checked under grid refinement,
   not at a single resolution.
@@ -72,13 +72,11 @@ class ChargeSign(enum.IntEnum):
 
 
 class Representation(enum.Enum):
-    SCHRODINGER_PSI = "psi"
     FESHBACH_VILLARS_PHI = "phi"
 
 
 class Basis(enum.Enum):
     MOMENTUM = "momentum"
-    POSITION = "position"
 
 
 def energy(p, k: PhysConstants = PhysConstants()):

@@ -7,12 +7,12 @@ sine components of an oscillatory transform.  Integrable sqrt endpoint
 behaviour is handled by a dedicated first panel under the substitution
 q = u^2 rather than by brute subdivision.
 
-With ``members=m`` one call integrates m integrands over one shared
-panel tree; ``f`` then returns (npoints, m, n_out).  Each member keeps
+One call integrates ``members`` integrands (default 1) on one shared
+panel tree, ``f`` returning (npoints, members, n_out).  Each member keeps
 the single-integrand rule: its own tolerance
 max(abs_tol, rel_tol * max|total|), its own error estimate and its own
 converged flag (``QuadratureResult.member_converged``; ``converged``
-stays one bool, true when every member converged).  Panels are
+is one bool, true when every member converged).  Panels are
 evaluated in blocks of at most _BLOCK_VALUES integrand values.  When
 the per-panel table of all members would exceed that budget, the
 engine sweeps the initial panels once keeping only per-member totals,
@@ -29,7 +29,7 @@ block-sized array per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,16 +136,18 @@ class QuadratureConfig:
 
 @dataclass
 class QuadratureResult:
-    """``value`` is shaped (n_out,), or (members, n_out) with ``members``;
-    ``error`` is then one estimate per member.  ``converged`` holds when
-    every member converged; ``member_converged`` gives the per-member
-    flags (None without ``members``)."""
+    """``value`` is shaped (members, n_out); ``error`` and
+    ``member_converged`` hold one estimate and one flag per member, and
+    ``converged`` holds when every member converged."""
 
     value: np.ndarray
-    error: float | np.ndarray
+    error: np.ndarray
     n_panels: int
-    converged: bool = True
-    member_converged: np.ndarray | None = None
+    member_converged: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.member_converged.all())
 
 
 def _gk15(f, panels: np.ndarray, members: int, n_out: int):
@@ -228,15 +230,14 @@ def adaptive_quadrature(
     max_subdivisions: int = QuadratureConfig.max_subdivisions,
     max_width: float | None = None,
     n_out: int = 1,
-    members: int | None = None,
+    members: int = 1,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] with adaptive GK15 bisection.
 
-    ``f`` maps a flat array of abscissae to an array of shape
-    (npoints,) or (npoints, n_out), or (npoints, members, n_out) when
-    ``members`` is given; that array may be overwritten, so ``f`` must
-    not return one it reads again (a read-only array is copied).
+    ``f`` maps a flat array of abscissae to (npoints, members, n_out)
+    values (any shape of that size); that array may be overwritten, so
+    ``f`` must not return one it reads again (a read-only array is copied).
     ``max_width`` caps the initial panel width (use a half period of the
     fastest oscillating factor).
 
@@ -254,19 +255,18 @@ def adaptive_quadrature(
     cuts = np.linspace(a, b, int(np.ceil(count)) + 1)
     panels = np.stack([cuts[:-1], cuts[1:]], axis=1)
 
-    n_members = 1 if members is None else members
-    value, error = np.zeros((n_members, n_out)), np.zeros(n_members)
-    converged = np.ones(n_members, dtype=bool)
-    act = np.arange(n_members)  # members still over tolerance
-    if panels.shape[0] * n_members * n_out > _BLOCK_VALUES:
+    value, error = np.zeros((members, n_out)), np.zeros(members)
+    converged = np.ones(members, dtype=bool)
+    act = np.arange(members)  # members still over tolerance
+    if panels.shape[0] * members * n_out > _BLOCK_VALUES:
         # the per-panel table would not fit: one sweep for the totals,
         # then a table for the members still over tolerance only
-        total, total_err = _sweep(f, panels, n_members, n_out)
+        total, total_err = _sweep(f, panels, members, n_out)
         done = total_err <= _tolerance(total, abs_tol, rel_tol)
         value[done], error[done] = total[done], total_err[done]
         act = act[~done]
     if act.size:
-        values, errors = _evaluate_panels(f, panels, n_members, n_out, act)
+        values, errors = _evaluate_panels(f, panels, members, n_out, act)
     span = b - a
     while act.size:
         total = values.sum(axis=0)
@@ -292,7 +292,7 @@ def adaptive_quadrature(
                 raise QuadratureConvergenceError(
                     f"quadrature stalled at error {error[act[worst]]:.3e} (tol {tol[worst]:.3e}) "
                     f"after {panels.shape[0]} panels",
-                    estimate=value[0] if members is None else value,
+                    estimate=value,
                     error=float(error[act[worst]]),
                 )
             break
@@ -301,13 +301,11 @@ def adaptive_quadrature(
         children = np.concatenate(
             [np.stack([bad[:, 0], mid], axis=1), np.stack([mid, bad[:, 1]], axis=1)]
         )
-        child_vals, child_errs = _evaluate_panels(f, children, n_members, n_out, act)
+        child_vals, child_errs = _evaluate_panels(f, children, members, n_out, act)
         panels = np.concatenate([panels[~refine], children])
         values = np.concatenate([values[~refine], child_vals])
         errors = np.concatenate([errors[~refine], child_errs])
-    if members is None:
-        return QuadratureResult(value[0], float(error[0]), panels.shape[0], bool(converged[0]))
-    return QuadratureResult(value, error, panels.shape[0], bool(converged.all()), converged)
+    return QuadratureResult(value, error, panels.shape[0], converged)
 
 
 def integrate_sqrt_endpoint(
@@ -319,7 +317,7 @@ def integrate_sqrt_endpoint(
     rel_tol: float = QuadratureConfig.rel_tol,
     max_subdivisions: int = QuadratureConfig.max_subdivisions,
     n_out: int = 1,
-    members: int | None = None,
+    members: int = 1,
     raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate f over (0, b] where f(q) ~ sqrt(q) * smooth near 0.
@@ -330,8 +328,6 @@ def integrate_sqrt_endpoint(
     :func:`adaptive_quadrature`.
     """
     q1 = min(_FIRST_PANEL, b)
-    shape = (n_out,) if members is None else (members, n_out)
-    scale = (-1,) + (1,) * len(shape)  # 2u broadcast over members and outputs
     common = dict(
         abs_tol=0.5 * abs_tol,
         rel_tol=rel_tol,
@@ -343,10 +339,10 @@ def integrate_sqrt_endpoint(
 
     def head_f(u):
         # scaled in place: the engine contract lets f's array be overwritten
-        fu = np.asarray(f(u * u), dtype=float).reshape(u.size, *shape)
+        fu = np.asarray(f(u * u), dtype=float).reshape(u.size, members, n_out)
         if not fu.flags.writeable:
             fu = fu.copy()
-        return np.multiply(fu, 2.0 * u.reshape(scale), out=fu)
+        return np.multiply(fu, 2.0 * u[:, None, None], out=fu)
 
     head = adaptive_quadrature(
         head_f,
@@ -357,13 +353,11 @@ def integrate_sqrt_endpoint(
     if q1 >= b:
         return head
     tail = adaptive_quadrature(f, q1, b, max_width=max_width, **common)
-    flags = None if members is None else head.member_converged & tail.member_converged
     return QuadratureResult(
         head.value + tail.value,
         head.error + tail.error,
         head.n_panels + tail.n_panels,
-        converged=head.converged and tail.converged,
-        member_converged=flags,
+        head.member_converged & tail.member_converged,
     )
 
 

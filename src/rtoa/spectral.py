@@ -55,7 +55,8 @@ class Parity(enum.Enum):
 @dataclass(frozen=True)
 class EigenSpec:
     """(charge sign, parity branch, arrival time) labelling one
-    eigenfunction."""
+    eigenfunction.  A complex tau = z gives, from the same formulas, the
+    solution of T phi = z phi off the real axis (the deficiency states)."""
 
     lam: ChargeSign
     parity: Parity
@@ -86,12 +87,15 @@ def eigenfunction_scalar(
     spec: EigenSpec, t: float, p, k: PhysConstants = PhysConstants()
 ) -> np.ndarray:
     """Scalar amplitude of the eigenfunction on the occupied charge
-    block, time-evolved to ``t``."""
+    block, time-evolved to ``t``; a phase that is not finite is refused."""
     p = np.asarray(p, dtype=float)
     e = energy(p, k)
     lam = int(spec.lam)
     amp = eigen_amplitude_modulus(p, e, k)
-    phase = np.exp(-1j * lam * (t - spec.tau) * e / k.hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * lam * (t - spec.tau) * e / k.hbar)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"phase lambda (t - tau) E_p / hbar at t - tau = {t - spec.tau:g} is not finite")
     out = amp * phase
     if spec.parity.is_nodal:
         out = out * np.sign(p)
@@ -277,8 +281,6 @@ def apply_even_toa(f: SpinorField, k: PhysConstants = PhysConstants()) -> Spinor
     formula evaluated afresh, written in place: the output is bitwise
     that of building every array on each call.
     """
-    if f.representation is not Representation.FESHBACH_VILLARS_PHI or f.basis is not Basis.MOMENTUM:
-        raise ValueError("operator acts on momentum-space fields in the diagonal representation")
     p = f.grid
     near_zero, first, second, two_p, two_inv_p, inv_p2, _ = _grid_table(p).physics(k)
     if near_zero is not None:
@@ -353,10 +355,10 @@ def overlap_numeric(
 
     Evaluates the defining momentum integral under exp(-eps E_p / m0c^2)
     damping for each rung of OVERLAP_EPSILON_LADDER, a fixed ladder of
-    its own rather than the one derived from a regulator, with the
-    default QuadratureConfig tolerances and cutoff rule, and extrapolates
-    the ladder to zero.  The coinciding-times case has no smooth part to
-    estimate and is refused.
+    its own rather than the one derived from a regulator, as the members
+    of one quadrature with the default QuadratureConfig tolerances up to
+    its smallest rung's cutoff, and extrapolates the ladder to zero.  The
+    coinciding-times case has no smooth part to estimate and is refused.
 
     For a same-sector pair the value does not depend on parity, since
     the integrand holds sgn(p)^2 = 1, and lambda = -1 gives -conj of the
@@ -371,34 +373,29 @@ def overlap_numeric(
         )
     q = QuadratureConfig()
     lam = int(s1.lam)
-    dt = s1.tau - s2.tau
-    omega = lam * dt / k.hbar
-    rest = k.rest_energy
+    omega = lam * (s1.tau - s2.tau) / k.hbar
+    damping = -np.array(OVERLAP_EPSILON_LADDER)
 
-    values = []
-    for eps in OVERLAP_EPSILON_LADDER:
-        p_max = k.momentum_scale * q.cutoff(eps)
-        half_period = math.pi / (abs(omega) * k.c) if omega != 0.0 else None
+    def integrand(p):
+        e = energy(p, k)
+        base = (p * k.c / e)[:, None] * np.exp(np.multiply.outer(e, damping) / k.rest_energy)
+        out = np.empty((p.size, damping.size, 2))
+        np.multiply(base, np.cos(omega * e)[:, None], out=out[:, :, 0])
+        np.multiply(base, np.sin(omega * e)[:, None], out=out[:, :, 1])
+        return out
 
-        def integrand(p):
-            e = energy(p, k)
-            base = (p * k.c / e) * np.exp(-eps * e / rest)
-            out = np.empty((p.size, 2))
-            np.multiply(base, np.cos(omega * e), out=out[:, 0])
-            np.multiply(base, np.sin(omega * e), out=out[:, 1])
-            return out
-
-        res = adaptive_quadrature(
-            integrand,
-            0.0,
-            p_max,
-            abs_tol=q.abs_tol,
-            rel_tol=q.rel_tol,
-            max_subdivisions=q.max_subdivisions,
-            max_width=half_period,
-            n_out=2,
-        )
-        values.append((res.value[0] + 1j * res.value[1]) * k.c / (2.0 * math.pi * k.hbar))
+    res = adaptive_quadrature(
+        integrand,
+        0.0,
+        k.momentum_scale * q.cutoff(min(OVERLAP_EPSILON_LADDER)),
+        abs_tol=q.abs_tol,
+        rel_tol=q.rel_tol,
+        max_subdivisions=q.max_subdivisions,
+        max_width=math.pi / (abs(omega) * k.c) if omega != 0.0 else None,
+        n_out=2,
+        members=damping.size,
+    )
+    values = (res.value[:, 0] + 1j * res.value[:, 1]) * k.c / (2.0 * math.pi * k.hbar)
     smooth = extrapolate_to_zero(OVERLAP_EPSILON_LADDER, values)
     return complex(lam * smooth)
 

@@ -612,6 +612,18 @@ class TestNonFiniteNumbers:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    def test_overflowing_eigenfunction_phase_refused(self, tmp_path, capsys):
+        # tau (t - tau) E_p / hbar overflows at p = +-8, where the file would read nan
+        out = tmp_path / "data"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, "--out", str(out), "eigenfunction", "--tau", "1e308", "--n", "3")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error: phase") and "is not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("axis", ["x", "t"])
     def test_overflowing_mesh_width_refused(self, tmp_path, capsys, axis):
         out = tmp_path / "data"

@@ -81,6 +81,16 @@ class TestEigenfunctions:
         ft = eigenfunction_scalar(s, 1.1, grid, K)
         assert np.allclose(np.abs(f0), np.abs(ft), rtol=1e-14)
 
+    @pytest.mark.parametrize("lam", [POS, NEG])
+    def test_non_finite_phase_refused(self, lam):
+        # (t - tau) E_p / hbar overflows at |p| = 8 but not at p = 0, where E_p = m0 c^2
+        s = EigenSpec(lam, Parity.NONNODAL, 1e308)
+        with pytest.raises(ValueError, match="phase .* is not finite"):
+            eigenfunction_scalar(s, 0.0, [-8.0, 0.0, 8.0], K)
+        with pytest.raises(ValueError, match="phase .* is not finite"):
+            eigenfunction_scalar(EigenSpec(lam, Parity.NODAL, 1.0), -1e308, [1.0, 8.0], K)
+        assert eigenfunction_scalar(s, 0.0, [0.0], K) == 0.0
+
 
 def fornberg_weights_scalar(x0, xs, order):
     """Reference: Fornberg's recursion on one stencil, scalar by scalar."""
@@ -552,16 +562,86 @@ class TestOverlap:
     def test_charge_and_parity_images(self, k, dt, sign):
         _assert_overlap_images(sign * dt * k.hbar / k.rest_energy, k)
 
+    @settings(max_examples=3, deadline=None)
+    @given(k=constants)
+    def test_each_rung_matches_its_complex_separation(self, k):
+        # damping exp(-eps E_p / m0c^2) is the closed form's phase at the
+        # separation dt + i lam eps hbar / (m0 c^2), rung by rung
+        unit_time = k.hbar / k.rest_energy
+        for lam in ChargeSign:
+            origin = EigenSpec(lam, Parity.NONNODAL, 0.0)
+            for dt in (-3.0, -0.5, 0.5, 1.0, 5.0):
+                rungs = []
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(spectral, "extrapolate_to_zero", lambda xs, ys: rungs.append(ys) or 0.0)
+                    overlap_numeric(EigenSpec(lam, Parity.NONNODAL, dt * unit_time), origin, k)
+                (values,) = rungs
+                for eps, value in zip(spectral.OVERLAP_EPSILON_LADDER, values):
+                    z = (dt + 1j * int(lam) * eps) * unit_time
+                    ana = overlap(EigenSpec(lam, Parity.NONNODAL, z), origin, k).regular_part
+                    assert abs(int(lam) * value - ana) < 1e-11 * abs(ana)
+
     def test_check_integrates_each_separation_once(self, monkeypatch):
         calls, numeric = [], cli.overlap_numeric
         monkeypatch.setattr(cli, "overlap_numeric", lambda *args: calls.append(args) or numeric(*args))
         quadratures, quad = [], spectral.adaptive_quadrature
         monkeypatch.setattr(
-            spectral, "adaptive_quadrature", lambda *args, **kw: quadratures.append(args) or quad(*args, **kw)
+            spectral, "adaptive_quadrature", lambda *args, **kw: quadratures.append(kw) or quad(*args, **kw)
         )
         assert cli.check_overlap(K)["pass"]
         assert len(calls) == 5  # four separations and the cross-charge zero
-        assert len(quadratures) == 4 * len(spectral.OVERLAP_EPSILON_LADDER)
+        # one quadrature per separation, its members the regulator ladder
+        assert [kw["members"] for kw in quadratures] == [len(spectral.OVERLAP_EPSILON_LADDER)] * 4
+
+
+class TestDeficiencyIndices:
+    """phi_z for z = tau + i gamma, gamma = +-g hbar / (m0 c^2), is the
+    eigenfunction formula at a complex tau.  It solves T phi_z = z phi_z on
+    the occupied block, and it is normalizable exactly when lambda gamma > 0:
+    (n+, n-) = (2, 0) on lambda = +1 and (0, 2) on lambda = -1, one solution
+    per parity, so T is maximally symmetric but not self-adjoint."""
+
+    G = 0.5
+    KS = [K, PhysConstants(hbar=0.7, c=1.3, m0=0.9)]
+
+    @staticmethod
+    def occupied(lam, f):
+        return f.upper if lam is POS else f.lower
+
+    def phi(self, k, lam, parity, sign, grid):
+        z = (1.0 + 1j * sign * self.G) * k.hbar / k.rest_energy
+        return z, eigenfunction_field(EigenSpec(lam, parity, z), 0.0, grid, k)
+
+    def norm2(self, k, lam, parity, sign, cutoff, n):
+        grid = np.linspace(-cutoff, cutoff, n) * k.momentum_scale
+        _, f = self.phi(k, lam, parity, sign, grid)
+        return np.sum(trapezoid_weights(grid) * np.abs(self.occupied(lam, f)) ** 2)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("lam", [POS, NEG])
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_eigenrelation_off_the_real_axis(self, k, lam, parity, sign):
+        grid = np.linspace(0.45, 5.05, 4097) * k.momentum_scale
+        z, f = self.phi(k, lam, parity, sign, grid)
+        got, phi = self.occupied(lam, apply_even_toa(f, k))[2:-2], self.occupied(lam, f)[2:-2]
+        assert np.linalg.norm(got - z * phi) < 1e-9 * np.linalg.norm(z * phi)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("lam", [POS, NEG])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_normalizable_when_lambda_gamma_is_positive(self, k, lam, parity):
+        # |phi_z|^2 integrates to (1 / 2 pi hbar) int e^{-2 g E / m0c^2} dE
+        expect = k.rest_energy * math.exp(-2.0 * self.G) / (4.0 * math.pi * self.G * k.hbar)
+        got = self.norm2(k, lam, parity, float(lam), 40.0, 200_001)
+        assert got == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("lam", [POS, NEG])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_not_normalizable_when_lambda_gamma_is_negative(self, k, lam, parity):
+        near, far = (self.norm2(k, lam, parity, -float(lam), cut, 20_001) for cut in (10.0, 20.0))
+        assert far > 100.0 * near
 
 
 def _assert_overlap_images(dt, k):

@@ -7,9 +7,10 @@ rename that would only break a benchmark run fails here."""
 import inspect
 
 import numpy as np
+import pytest
 
 from rtoa import cli, core, dynamics, spectral, toa
-from rtoa.quadrature import QuadratureConfig
+from rtoa.quadrature import QuadratureConfig, adaptive_quadrature, integrate_sqrt_endpoint
 from rtoa.spectral import completeness_check
 
 from conftest import load_perfbench
@@ -75,6 +76,24 @@ def test_grid_table_looks_up_energy_in_its_own_module_once(monkeypatch):
     spectral.apply_hamiltonian(spectral.apply_even_toa(f))
     spectral.apply_even_toa(spectral.apply_hamiltonian(f))
     assert len(calls) == 1  # one table build serves all four calls
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda f, **kw: adaptive_quadrature(f, 0.0, 3.0, **kw),
+        lambda f, **kw: integrate_sqrt_endpoint(f, 3.0, **kw),
+    ],
+    ids=["adaptive_quadrature", "integrate_sqrt_endpoint"],
+)
+def test_panels_attrs_reads_both_engine_results(engine, members):
+    # the quadrature.adaptive span records n_panels and int(not converged)
+    tracing = load_perfbench("tracing")
+    f = lambda q: np.sqrt(q)[:, None] * np.cos(np.multiply.outer(q, np.arange(1.0, members + 1.0)))
+    attrs = tracing._panels_attrs(engine)((), {}, engine(f, members=members))
+    assert type(attrs["panels"]) is int and attrs["panels"] > 0
+    assert attrs["unconverged"] in (0, 1)
 
 
 def test_gate_reads_the_default_epsilon_ladder():
