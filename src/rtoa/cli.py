@@ -266,8 +266,15 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
     writes it.  With --emit-plot-script, ``plot`` formatted with the CSV's
     file name and ``plot_fields`` goes to ``<out>.gp``."""
     config = f"# config: {json.dumps(cfg.settings, sort_keys=True)}"
-    rows = _plain(np.column_stack(list(columns.values())))
-    lines = [config, *meta_lines, ",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+    cells = []
+    for column in columns.values():  # each distinct value of a column formatted once
+        column = np.asarray(column, dtype=float) + 0.0
+        distinct, index = np.unique(column, return_inverse=True)
+        if distinct.size == column.size:
+            cells.append(list(map(repr, column.tolist())))
+        else:
+            cells.append(np.array(list(map(repr, distinct.tolist())), dtype=object)[index].tolist())
+    lines = [config, *meta_lines, ",".join(columns), *map(",".join, zip(*cells))]
     _emit(cfg, "\n".join(lines) + "\n")
     out = cfg.settings["out"]
     if cfg.settings.get("emit_plot_script"):
@@ -275,8 +282,19 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
 
 
 def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    """The one JSON report layout: ``doc`` plus the settings read."""
-    _emit(cfg, json.dumps(_plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True) + "\n")
+    """The one JSON report layout: ``doc`` plus the settings read, as
+    json.dumps(indent=2, sort_keys=True) writes it; a top-level list of
+    finite floats is joined from reprs, bypassing json's indenting encoder."""
+    doc = _plain({**doc, "config": cfg.settings})
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if type(value) is list and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            text = "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    _emit(cfg, "{\n" + ",\n".join(items) + "\n}\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:

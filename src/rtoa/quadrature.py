@@ -19,11 +19,11 @@ engine sweeps the initial panels once keeping only per-member totals,
 then keeps a table, and refines, only for the members still over
 tolerance.
 
-The engine consumes each array ``f`` returns before calling ``f``
-again, and may overwrite it in the process (the GK15 error estimate
-forms |f - mean| in place; a read-only result is copied first).  So an
-integrand may hand out views of one reused buffer rather than a fresh
-block-sized array per call.
+Each panel's error estimate is an upper bound on QUADPACK's estimate,
+from the one weighted sum of the block that gives its value (:func:`_gk15`).
+:func:`adaptive_quadrature` reads each array ``f`` returns once, before
+calling ``f`` again, and never writes it, so an integrand may hand out
+views of one reused buffer rather than a fresh block-sized array per call.
 """
 
 from __future__ import annotations
@@ -74,13 +74,16 @@ GK_WEIGHTS = np.concatenate([_WGK[:7], _WGK[::-1]])
 # embedded Gauss-7 weights on the same nodes (zero on Kronrod-only nodes)
 G_WEIGHTS = np.zeros(15)
 G_WEIGHTS[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+# the four rows of the one weighted sum _gk15 takes of a block (see there)
+_S = np.sign(GK_NODES**2 - 1.0 / 3.0)
+_ROWS = np.stack([GK_WEIGHTS, GK_WEIGHTS - G_WEIGHTS, GK_WEIGHTS * np.sign(GK_NODES), GK_WEIGHTS * (_S - GK_WEIGHTS @ _S / 2)])
 
 
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget.
 
     ``estimate`` holds the best value reached and ``error`` the
-    achieved error estimate.
+    achieved error estimate, an upper bound on QUADPACK's estimate.
     """
 
     def __init__(self, message: str, estimate, error: float):
@@ -137,8 +140,9 @@ class QuadratureConfig:
 @dataclass
 class QuadratureResult:
     """``value`` is shaped (members, n_out); ``error`` and
-    ``member_converged`` hold one estimate and one flag per member, and
-    ``converged`` holds when every member converged."""
+    ``member_converged`` hold one error estimate, an upper bound on
+    QUADPACK's estimate, and one flag per member, and ``converged`` holds
+    when every member converged."""
 
     value: np.ndarray
     error: np.ndarray
@@ -152,27 +156,33 @@ class QuadratureResult:
 
 def _gk15(f, panels: np.ndarray, members: int, n_out: int):
     """GK15 on a batch of panels, summed for every member.  Returns
-    Kronrod values (n_panels, members, n_out) and QUADPACK-style error
-    estimates (n_panels, members)."""
-    a = panels[:, 0]
-    half = 0.5 * (panels[:, 1] - panels[:, 0])
-    center = a + half
-    x = center[:, None] + half[:, None] * GK_NODES[None, :]
+    Kronrod values (n_panels, members, n_out) and error estimates
+    (n_panels, members), each an upper bound on QUADPACK's estimate.
+
+    The block is read once, by one product with the rows of _ROWS: K,
+    K - G, K sgn(x) and K (s - m), with s = sgn(x^2 - 1/3) and
+    m = sum(K s) / 2.  With h the half-width, the value is h K.f and the
+    estimate is R min(1, sqrt(R / L)), or R where L = 0, for
+    R = 200 h |(K - G).f| and L = h max(|K sgn(x).f|, |K (s - m).f|).
+
+    It bounds QUADPACK's q = A min(1, (R / A)^1.5), A = resasc =
+    h sum K |f - K.f / 2|.  The two rows give sum K s' (f - K.f / 2) for
+    s' = sgn(x) and s, as sum K sgn(x) = 0 and sum K s = 2 m; K > 0 and
+    |s'| <= 1, so L <= A.  As A grows, q rises as A up to R at A = R, then
+    falls as R^1.5 / sqrt(A), so for every A >= L it is at most
+    R min(1, sqrt(R / L)); where A or R is 0, q is R / 200.  QUADPACK's
+    roundoff floor 50 eps resabs is not applied.
+    """
+    h = 0.5 * (panels[:, 1:] - panels[:, :1])
+    x = (panels[:, :1] + h) + h * GK_NODES
     fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(panels.shape[0], GK_NODES.size, members * n_out)
-    resk = np.einsum("j,pjo->po", GK_WEIGHTS, fx)
-    resg = np.einsum("j,pjo->po", G_WEIGHTS, fx)
-    if not fx.flags.writeable:
-        fx = fx.copy()
-    # |f - resk/2| in place: fx is not read again
-    np.subtract(fx, 0.5 * resk[:, None, :], out=fx)
-    resasc = np.einsum("j,pjo->po", GK_WEIGHTS, np.abs(fx, out=fx))
-    values = resk * half[:, None]
-    raw = np.abs((resk - resg) * half[:, None])
-    resasc = resasc * half[:, None]
+    sums = np.matmul(_ROWS, fx.reshape(panels.shape[0], GK_NODES.size, members * n_out))
+    values = sums[:, 0] * h  # a compact copy, not a view that holds all four sums
+    raw = 200.0 * h * np.abs(sums[:, 1])
+    low = h * np.maximum(np.abs(sums[:, 2]), np.abs(sums[:, 3]))
+    # fmin: where L = 0 the ratio is inf or nan and the estimate is R
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
-    err = np.where((resasc > 0.0) & (raw > 0.0), scaled, raw)
+        err = raw * np.fmin(1.0, np.sqrt(raw / low))
     shape = (panels.shape[0], -1, n_out)
     err = err.reshape(shape)
     worst = err[:, :, 0]
@@ -236,10 +246,10 @@ def adaptive_quadrature(
     """Integrate ``f`` over [a, b] with adaptive GK15 bisection.
 
     ``f`` maps a flat array of abscissae to (npoints, members, n_out)
-    values (any shape of that size); that array may be overwritten, so
-    ``f`` must not return one it reads again (a read-only array is copied).
-    ``max_width`` caps the initial panel width (use a half period of the
-    fastest oscillating factor).
+    values (any shape of that size); each array is read once, before
+    ``f`` is called again, and never written.  ``max_width`` caps the
+    initial panel width (use a half period of the fastest oscillating
+    factor).
 
     Members share one panel tree: a panel is bisected when any member
     still over its tolerance asks for it, and a member's total is fixed
@@ -325,7 +335,9 @@ def integrate_sqrt_endpoint(
     The leading panel [0, _FIRST_PANEL] is computed under q = u^2, which
     maps the sqrt behaviour onto a smooth integrand; the remainder uses
     the plain adaptive rule.  ``f`` and ``members`` are as for
-    :func:`adaptive_quadrature`.
+    :func:`adaptive_quadrature`, except that ``f``'s array may be
+    overwritten: the head panel scales it in place (a read-only one first
+    copied), so ``f`` must not return an array it reads again.
     """
     q1 = min(_FIRST_PANEL, b)
     common = dict(
@@ -338,7 +350,7 @@ def integrate_sqrt_endpoint(
     )
 
     def head_f(u):
-        # scaled in place: the engine contract lets f's array be overwritten
+        # scaled in place, as the docstring allows
         fu = np.asarray(f(u * u), dtype=float).reshape(u.size, members, n_out)
         if not fu.flags.writeable:
             fu = fu.copy()

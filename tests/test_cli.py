@@ -426,6 +426,68 @@ class TestWriters:
         assert not any(c == "-0.0" for column in table.values() for c in column)
 
 
+def reference_csv(columns):
+    """The CSV header and rows formatted row by row, every cell repr'd."""
+    rows = cli._plain(np.column_stack(list(columns.values())))
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+class TestWriterBytes:
+    """The writers format each distinct CSV value once and splice top-level
+    float lists into the JSON; the bytes are those of the plain row-by-row
+    CSV loop and of json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.fixture
+    def expected(self, monkeypatch):
+        """The reference text of every document the CLI writes next."""
+        texts, emit_csv, emit_json = [], cli._emit_csv, cli._emit_json
+
+        def csv(cfg, meta_lines, columns, *args, **kwargs):
+            config = f"# config: {json.dumps(cfg.settings, sort_keys=True)}"
+            texts.append("\n".join([config, *meta_lines]) + "\n" + reference_csv(columns))
+            emit_csv(cfg, meta_lines, columns, *args, **kwargs)
+
+        def json_doc(cfg, doc):
+            texts.append(json.dumps(cli._plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True) + "\n")
+            emit_json(cfg, doc)
+
+        monkeypatch.setattr(cli, "_emit_csv", csv)
+        monkeypatch.setattr(cli, "_emit_json", json_doc)
+        return texts
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # mirrored in t about tau, with a -0.0 x sample (--xmax -0) on every row
+            ["density-grid", "--branch", "nodal", "--tau", "0.5", "--xmin", "-2", "--xmax", "-0", "--nx", "9",
+             "--tmin", "0", "--tmax", "1", "--nt", "5"],
+            ["density-grid", "--branch", "nonnodal", "--tau", "1", "--xmin", "-4", "--xmax", "4", "--nx", "41",
+             "--tmin", "0", "--tmax", "2", "--nt", "41"],
+            ["toa-dist", "--p0", "2", "--x0", "-7", "--n-tau", "151"],
+            ["--format", "json", "toa-dist", "--p0", "2", "--x0", "-7", "--n-tau", "151"],
+            ["limits"],
+            ["verify-spectral"],
+        ],
+    )
+    def test_documents(self, capsys, expected, argv):
+        _, out, _ = run(capsys, *argv)
+        assert [out] == expected
+
+    def test_negative_zero_and_repeats(self, capsys, expected):
+        cfg = cli._load_config(cli._build_parser().parse_args(["limits"]))
+        column = np.array([-0.0, 0.0, 1.5, -0.0, 1.5, -2.0])
+        cli._emit_csv(cfg, [], {"a": column, "b": column[::-1], "c": np.arange(6.0)})
+        assert capsys.readouterr().out == expected[0]
+        assert "-0.0" not in expected[0]
+
+    def test_non_finite_list_stays_with_json(self, capsys, expected):
+        cfg = cli._load_config(cli._build_parser().parse_args(["limits"]))
+        cli._emit_json(cfg, {"a": [1.0, math.nan, -0.0], "b": [math.inf, 2.0], "c": [0.5, -0.0], "d": []})
+        out = capsys.readouterr().out
+        assert out == expected[0]
+        assert "NaN" in out and "Infinity" in out
+
+
 DENSITY_ARGV = [
     "density-grid", "--branch", "nonnodal", "--tau", "0.5",
     "--xmin", "-1", "--xmax", "1", "--nx", "3", "--tmin", "0", "--tmax", "1", "--nt", "2",

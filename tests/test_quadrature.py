@@ -1,13 +1,17 @@
-"""Engine checks against closed forms and scipy's QUADPACK."""
+"""Engine checks against closed forms, scipy's QUADPACK and the qk15
+error estimate, and the panels each benchmarked engine call takes."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rtoa import quadrature
+from rtoa import quadrature, spectral
+from rtoa.cli import check_overlap
+from rtoa.core import PhysConstants
+from rtoa.dynamics import density_grid
 from rtoa.quadrature import (
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -15,6 +19,7 @@ from rtoa.quadrature import (
     extrapolate_to_zero,
     integrate_sqrt_endpoint,
 )
+from rtoa.spectral import Parity
 
 
 class TestAdaptive:
@@ -89,9 +94,86 @@ class TestAdaptive:
                 adaptive_quadrature(np.cos, 0.0, 100.0, max_width=max_width)
 
     def test_read_only_output(self):
-        # the engine overwrites what f returns, so a read-only array is copied first
+        # the engine only reads what f returns, so a read-only array is fine
         res = adaptive_quadrature(lambda x: np.broadcast_to(3.0, x.shape), 0.0, 2.0)
         assert res.value[0, 0] == 6.0
+
+
+def qk15(fx, half):
+    """Classic QUADPACK qk15 on values fx (panels, 15, columns) of panels
+    with half-widths ``half``: (raw, resasc, estimate) per panel and column."""
+    resk = np.einsum("j,pjc->pc", quadrature.GK_WEIGHTS, fx)
+    resg = np.einsum("j,pjc->pc", quadrature.G_WEIGHTS, fx)
+    resasc = np.einsum("j,pjc->pc", quadrature.GK_WEIGHTS, np.abs(fx - 0.5 * resk[:, None, :])) * half[:, None]
+    raw = np.abs(resk - resg) * half[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    return raw, resasc, np.where((resasc > 0.0) & (raw > 0.0), scaled, raw)
+
+
+def panel_values(g, panels):
+    """(g at the GK15 nodes shaped (panels, 15, columns), half-widths)."""
+    half = 0.5 * (panels[:, 1] - panels[:, 0])
+    x = (panels[:, 0] + half)[:, None] + half[:, None] * quadrature.GK_NODES
+    return g(x.ravel()).reshape(panels.shape[0], 15, -1), half
+
+
+_centre = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+INTEGRANDS = st.one_of(
+    st.builds(lambda c, w: lambda x: np.exp(-(((x - c) / w) ** 2)), _centre, st.floats(0.05, 3.0)),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20).map(
+        lambda cs: lambda x: np.polynomial.polynomial.polyval(x, cs)
+    ),
+    st.builds(lambda k, phi: lambda x: np.cos(k * x + phi), st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi)),
+    st.builds(lambda c: lambda x: np.abs(x - c), _centre),
+    st.builds(lambda c: lambda x: np.where(x > c, 1.0, 0.0), _centre),
+)
+
+
+class TestErrorEstimate:
+    """The engine's per-panel estimate bounds QUADPACK's qk15 estimate,
+    since its L never exceeds resasc."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(INTEGRANDS, min_size=2, max_size=2), min_size=1, max_size=3),
+        st.lists(st.tuples(_centre, st.floats(1e-3, 2.0)), min_size=1, max_size=4),
+    )
+    def test_bounds_quadpack(self, members, spans):
+        panels = np.array([[0.0, 1.0]] + [[c - h, c + h] for c, h in spans])
+
+        def f(x):
+            return np.stack([np.stack([g(x) for g in pair], axis=-1) for pair in members], axis=1)
+
+        _, err = quadrature._gk15(f, panels, len(members), 2)
+        fx, half = panel_values(f, panels)
+        raw, resasc, expect = qk15(fx, half)
+        scale = half[:, None] * np.abs(fx).max(axis=1)  # h max|f| per panel and column
+        sums = np.einsum("kj,pjc->pkc", quadrature._ROWS, fx)
+        low = half[:, None] * np.maximum(np.abs(sums[:, 2]), np.abs(sums[:, 3]))
+        eps = np.finfo(float).eps
+        # a constant's resasc can be exactly 0 while its L is a roundoff of eps h max|f|
+        assert np.all(low <= resasc * (1.0 + 1e-12) + 16 * eps * scale)
+        # err is max'd over each member's two outputs; where raw is not
+        # roundoff, its two routes (K.f - G.f against (K - G).f) differ by
+        # a few eps h max|f|, and the estimate grows at most as raw^1.5
+        ours = np.repeat(err, 2, axis=1)
+        kept = raw > 1e-10 * scale
+        slack = 48 * eps * scale[kept] / raw[kept]
+        assert np.all(ours[kept] >= expect[kept] * (1.0 - slack))
+
+    @pytest.mark.parametrize("half", [1.0, 1.5, 2.0, 2.5])
+    def test_centred_gaussian_stays_near_quadpack(self, half):
+        # a resolved peak at the panel centre (200 raw < resasc): with the
+        # K sgn(x) row alone, an even integrand would have L = 0 and read
+        # 5x to 280x QUADPACK's estimate on these panels
+        panels = np.array([[-half, half], [3.0 - half, 3.0 + half]])
+        centre = np.repeat([0.0, 3.0], 15)
+        peak = lambda x: np.exp(-((x - centre) ** 2))[:, None, None]
+        _, err = quadrature._gk15(peak, panels, 1, 1)
+        fx, h = panel_values(peak, panels)
+        _, _, expect = qk15(fx, h)
+        assert np.all(err >= expect * (1.0 - 1e-6)) and np.all(err <= 2.0 * expect)
 
 
 class TestSqrtEndpoint:
@@ -208,6 +290,41 @@ class TestMembers:
         adaptive_quadrature(f, 0.0, 1200.0, members=RATES.size, **self.KW)
         assert len(handed) > 1
         assert max(handed) <= quadrature._BLOCK_VALUES
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """(n_panels, every member converged) of each adaptive_quadrature call."""
+    calls, engine = [], quadrature.adaptive_quadrature
+
+    def recording(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        calls.append((res.n_panels, res.converged))
+        return res
+
+    monkeypatch.setattr(quadrature, "adaptive_quadrature", recording)
+    monkeypatch.setattr(spectral, "adaptive_quadrature", recording)
+    return calls
+
+
+class TestWorkPerCall:
+    """The panels each engine call of the benchmarked geometries takes, so
+    that an estimator that refines more fails here and not only in the
+    benchmark.  integrate_sqrt_endpoint makes a head call, then a tail."""
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    def test_figure_mesh(self, engine_calls, branch):
+        density_grid(branch, 1.0, (-4.0, 4.0), (0.0, 2.0), 41, 41)
+        assert engine_calls == [(1, True), (127, True)]
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    def test_ladder_rungs(self, engine_calls, branch):
+        density_grid(branch, 1.0, (-4.0, 4.0), (0.0, 2.0), 21, 21, extrapolate=True)
+        assert engine_calls == [(1, True), (127, True), (1, True), (255, True), (1, True), (509, True)]
+
+    def test_overlap_ladder(self, engine_calls):
+        assert check_overlap(PhysConstants())["pass"]
+        assert engine_calls == [(193, True), (383, True), (764, True), (1910, True)]
 
 
 class TestExtrapolation:
