@@ -29,6 +29,7 @@ maximum) is null in JSON and left out of the CSV header.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -110,6 +111,7 @@ def _read_by(setting: str) -> str:
     return "read by " + ", ".join(name for name, row in _SUBCOMMANDS.items() if setting in row.settings)
 
 
+@functools.cache  # one parser per process: argparse's object graph is cyclic garbage once dropped
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rtoa", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat JSON config file of settings")
@@ -268,12 +270,8 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
     config = f"# config: {json.dumps(cfg.settings, sort_keys=True)}"
     cells = []
     for column in columns.values():  # each distinct value of a column formatted once
-        column = np.asarray(column, dtype=float) + 0.0
-        distinct, index = np.unique(column, return_inverse=True)
-        if distinct.size == column.size:
-            cells.append(list(map(repr, column.tolist())))
-        else:
-            cells.append(np.array(list(map(repr, distinct.tolist())), dtype=object)[index].tolist())
+        distinct, index = np.unique(np.asarray(column, dtype=float) + 0.0, return_inverse=True)
+        cells.append(np.array(list(map(repr, distinct.tolist())), dtype=object)[index])
     lines = [config, *meta_lines, ",".join(columns), *map(",".join, zip(*cells))]
     _emit(cfg, "\n".join(lines) + "\n")
     out = cfg.settings["out"]
@@ -282,19 +280,8 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
 
 
 def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    """The one JSON report layout: ``doc`` plus the settings read, as
-    json.dumps(indent=2, sort_keys=True) writes it; a top-level list of
-    finite floats is joined from reprs, bypassing json's indenting encoder."""
-    doc = _plain({**doc, "config": cfg.settings})
-    items = []
-    for key in sorted(doc):
-        value = doc[key]
-        if type(value) is list and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-            text = "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    _emit(cfg, "{\n" + ",\n".join(items) + "\n}\n")
+    """The one JSON report layout: ``doc`` plus the settings read."""
+    _emit(cfg, json.dumps(_plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:
