@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -89,6 +90,11 @@ CONFIG_DEFAULTS = {
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here is 1 for any
     # validation failure, with usage on stderr.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.13's rule: before it, -1e-3 read as an option, not a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -578,7 +584,7 @@ def cmd_density_grid(cfg: RunConfig, args) -> int:
         cfg.quadrature,
         extrapolate=args.extrapolate,
     )
-    meta = [f"# branch: {args.branch}  tau: {_fmt(args.tau)}  extrapolated: {grid.extrapolated}"]
+    meta = [f"# branch: {args.branch}  tau: {_fmt(args.tau)}  extrapolated: {args.extrapolate}"]
     if grid.flagged:
         meta.append("# flagged_cells: " + ";".join(f"{i},{j}" for i, j in grid.flagged))
     columns = {  # row-major in (t, x): x cycles fastest

@@ -64,7 +64,6 @@ def _f_integrals_result(
     k: PhysConstants,
     q: QuadratureConfig,
     eps: float,
-    strict: bool = True,
 ):
     """Damped branch integrals on the mesh ``ts`` x ``xs``, one member
     per cell in row-major (t, x) order, each a (cos, sin) time-factor
@@ -113,7 +112,6 @@ def _f_integrals_result(
         max_subdivisions=q.max_subdivisions,
         n_out=2,
         members=a.size * b.size,
-        raise_on_failure=strict,
     )
 
 
@@ -135,62 +133,6 @@ def _fold(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(j, return_inverse=True)
 
 
-def _density_mesh(
-    branch: Parity,
-    tau: float,
-    xs: np.ndarray,
-    ts: np.ndarray,
-    k: PhysConstants,
-    q: QuadratureConfig,
-    epsilons: tuple[float, ...],
-    strict: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(densities, converged) on the mesh ``ts`` x ``xs``, both shaped
-    (len(ts), len(xs)), for each regulator in ``epsilons``.  Only the
-    block that :func:`_fold` keeps is integrated, rows in blocks of about
-    _MESH_CELLS cells; a ladder of several regulators is extrapolated to
-    zero and clamped at zero (extrapolating a vanishing positive sequence
-    may undershoot by roundoff), and the block is then expanded to the
-    whole mesh."""
-    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
-    x_kept, x_expand = _fold(xs)
-    t_kept, t_expand = _fold(ts - tau)
-    xs, ts = xs[x_kept], ts[t_kept]
-    mirror = np.ix_(t_expand, x_expand)
-    shape = (ts.size, xs.size)
-    rows = max(1, _MESH_CELLS // xs.size)
-    rungs, converged = [], np.ones(shape, dtype=bool)
-    for eps in epsilons:
-        rung = np.empty(shape)
-        for i in range(0, ts.size, rows):
-            res = _f_integrals_result(branch, tau, xs, ts[i : i + rows], k, q, eps, strict=strict)
-            f1, f2 = res.value[:, 0], res.value[:, 1]
-            rung[i : i + rows] = (pref * (f1**2 + f2**2)).reshape(-1, xs.size)
-            converged[i : i + rows] &= res.member_converged.reshape(-1, xs.size)
-        rungs.append(rung)
-    values = rungs[0]
-    if len(epsilons) > 1:
-        extrapolated = extrapolate_to_zero(epsilons, rungs)
-        values = np.where(extrapolated > 0.0, extrapolated, 0.0)
-    return values[mirror], converged[mirror]
-
-
-def density(
-    branch: Parity,
-    tau: float,
-    x: float,
-    t: float,
-    k: PhysConstants = PhysConstants(),
-    q: QuadratureConfig = QuadratureConfig(),
-    epsilon: float | None = None,
-) -> float:
-    """Probability density of the time-evolved eigenfunction at (x, t),
-    identical for both charge signs."""
-    eps = q.epsilon if epsilon is None else epsilon
-    values, _ = _density_mesh(branch, tau, np.array([x]), np.array([t]), k, q, (eps,), strict=True)
-    return float(values[0, 0])
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     """Dense density evaluation: values[i, j] = P(t_samples[i], x_samples[j]).
@@ -202,7 +144,6 @@ class DensityGrid:
     x_samples: np.ndarray
     t_samples: np.ndarray
     values: np.ndarray
-    extrapolated: bool = False
     flagged: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
@@ -227,22 +168,21 @@ def density_grid(
     q: QuadratureConfig = QuadratureConfig(),
     extrapolate: bool = False,
 ) -> DensityGrid:
-    """Evaluate the density on a regular mesh.
+    """The density on a regular nx x nt mesh at the regulator
+    ``q.epsilon``, or with ``extrapolate`` extrapolated to zero over
+    ``q.epsilon_ladder`` and clamped at zero (a vanishing positive
+    sequence may undershoot by roundoff).
 
-    An axis that mirrors itself about x = 0 or t = tau is integrated on
-    its x >= 0 or t >= tau half only, the centre sample included (see
-    the module docstring): a mesh symmetric in both is integrated on one
-    quarter block, other meshes in full.  The kept rows are integrated
-    in blocks of about _MESH_CELLS cells: one batched engine call per
-    block and regulator, one member per cell on a shared panel tree,
-    with the integrand evaluated in blocks within the engine's value
-    budget; a ladder is extrapolated in one array call before the fold
-    is undone.  Each cell keeps its own tolerance and converged flag,
-    and a mirrored cell copies both from its kept image: cells whose
-    quadrature did not converge are kept and listed in ``flagged``
-    together with their mirrors.  Everything runs on the calling thread
-    in a fixed order, so output is deterministic for a fixed
-    configuration.
+    Only the block that :func:`_fold` keeps is integrated (see the module
+    docstring): a mesh symmetric about x = 0 and t = tau on one quarter,
+    other meshes in full.  Its rows go in blocks of about _MESH_CELLS
+    cells, one batched engine call per block and regulator with one
+    member per cell; a ladder is extrapolated in one array call before
+    the fold is undone.  Each cell keeps its own tolerance and converged
+    flag, and a mirrored cell copies both from its kept image.  A cell
+    that did not converge never raises: it is kept and listed in
+    ``flagged`` with its mirrors.  Everything runs on the calling thread
+    in a fixed order, so output is deterministic.
     """
     if nx < 2 or nt < 2:
         raise ValueError("need nx, nt >= 2")
@@ -251,6 +191,25 @@ def density_grid(
     xs = np.linspace(x_range[0], x_range[1], nx)
     ts = np.linspace(t_range[0], t_range[1], nt)
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
-    values, converged = _density_mesh(branch, tau, xs, ts, k, q, epsilons, strict=False)
-    flagged = tuple((int(i), int(j)) for i, j in np.argwhere(~converged))
-    return DensityGrid(xs, ts, values, extrapolated=extrapolate, flagged=flagged)
+    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
+    x_kept, x_expand = _fold(xs)
+    t_kept, t_expand = _fold(ts - tau)
+    xs_kept, ts_kept = xs[x_kept], ts[t_kept]
+    shape = (ts_kept.size, xs_kept.size)
+    rows = max(1, _MESH_CELLS // xs_kept.size)
+    rungs, converged = [], np.ones(shape, dtype=bool)
+    for eps in epsilons:
+        rung = np.empty(shape)
+        for i in range(0, ts_kept.size, rows):
+            res = _f_integrals_result(branch, tau, xs_kept, ts_kept[i : i + rows], k, q, eps)
+            f1, f2 = res.value[:, 0], res.value[:, 1]
+            rung[i : i + rows] = (pref * (f1**2 + f2**2)).reshape(-1, xs_kept.size)
+            converged[i : i + rows] &= res.member_converged.reshape(-1, xs_kept.size)
+        rungs.append(rung)
+    values = rungs[0]
+    if extrapolate:
+        extrapolated = extrapolate_to_zero(epsilons, rungs)
+        values = np.where(extrapolated > 0.0, extrapolated, 0.0)
+    mirror = np.ix_(t_expand, x_expand)
+    flagged = tuple((int(i), int(j)) for i, j in np.argwhere(~converged[mirror]))
+    return DensityGrid(xs, ts, values[mirror], flagged=flagged)

@@ -21,9 +21,12 @@ tolerance.
 
 Each panel's error estimate is an upper bound on QUADPACK's estimate,
 from the one weighted sum of the block that gives its value (:func:`_gk15`).
-:func:`adaptive_quadrature` reads each array ``f`` returns once, before
-calling ``f`` again, and never writes it, so an integrand may hand out
-views of one reused buffer rather than a fresh block-sized array per call.
+Both engines keep one contract with ``f``: each array it returns is read
+once, before ``f`` is called again, and never written, so an integrand
+may hand out views of one reused buffer rather than a fresh block-sized
+array per call.  :func:`adaptive_quadrature` raises on an exhausted
+budget unless told not to; :func:`integrate_sqrt_endpoint` always flags
+the members that did not converge and never raises.
 """
 
 from __future__ import annotations
@@ -328,16 +331,15 @@ def integrate_sqrt_endpoint(
     max_subdivisions: int = QuadratureConfig.max_subdivisions,
     n_out: int = 1,
     members: int = 1,
-    raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate f over (0, b] where f(q) ~ sqrt(q) * smooth near 0.
 
     The leading panel [0, _FIRST_PANEL] is computed under q = u^2, which
     maps the sqrt behaviour onto a smooth integrand; the remainder uses
     the plain adaptive rule.  ``f`` and ``members`` are as for
-    :func:`adaptive_quadrature`, except that ``f``'s array may be
-    overwritten: the head panel scales it in place (a read-only one first
-    copied), so ``f`` must not return an array it reads again.
+    :func:`adaptive_quadrature`: each array ``f`` returns is read once and
+    never written.  A member that exhausts the subdivision budget is
+    flagged in ``member_converged``; this never raises.
     """
     q1 = min(_FIRST_PANEL, b)
     common = dict(
@@ -346,15 +348,11 @@ def integrate_sqrt_endpoint(
         max_subdivisions=max_subdivisions,
         n_out=n_out,
         members=members,
-        raise_on_failure=raise_on_failure,
+        raise_on_failure=False,
     )
 
     def head_f(u):
-        # scaled in place, as the docstring allows
-        fu = np.asarray(f(u * u), dtype=float).reshape(u.size, members, n_out)
-        if not fu.flags.writeable:
-            fu = fu.copy()
-        return np.multiply(fu, 2.0 * u[:, None, None], out=fu)
+        return np.asarray(f(u * u), dtype=float).reshape(u.size, members, n_out) * (2.0 * u[:, None, None])
 
     head = adaptive_quadrature(
         head_f,

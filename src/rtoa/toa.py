@@ -252,10 +252,14 @@ def photon_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> flo
 
 def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> float | None:
     """Free classical relativistic arrival time at the origin; None at
-    p0 = 0, where it is undefined."""
+    p0 = 0, where it is undefined.  A time that is not finite (a p0 so
+    small that x0 / v overflows) is refused."""
     if p0 == 0.0:
         return None
-    return -x0 * math.sqrt(p0**2 + (k.momentum_scale) ** 2) / (p0 * k.c)
+    t = -x0 * math.sqrt(p0**2 + (k.momentum_scale) ** 2) / (p0 * k.c)
+    if not math.isfinite(t):
+        raise ValueError(f"classical arrival time for p0 = {p0:g}, x0 = {x0:g} is not finite")
+    return t
 
 
 def classical_references(

@@ -698,6 +698,16 @@ class TestNonFiniteNumbers:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_classical_time_refused(self, tmp_path, capsys, fmt):
+        # x0 / v overflows at p0 = 1e-320; JSON has no infinity to write
+        out = tmp_path / "data"
+        argv = ["--format", fmt, "toa-dist", "--p0", "1e-320", "--x0", "-7", "--n-tau", "21"]
+        code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error: classical arrival time") and "is not finite" in err
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("axis", ["x", "t"])
     def test_overflowing_mesh_width_refused(self, tmp_path, capsys, axis):
         out = tmp_path / "data"
@@ -729,6 +739,26 @@ class TestNonFiniteNumbers:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("argv, flag, value", [(TOA_ARGV, "--x0", "-1e-3"), (DENSITY_ARGV, "--xmin", "-4e0")])
+    def test_exponent_notation_reads_as_a_value(self, tmp_path, capsys, argv, flag, value):
+        # argparse before Python 3.13 took -1e-3 for an option string
+        out, texts = tmp_path / "data", []
+        for pair in ([flag, value], [f"{flag}={value}"]):
+            code, _, err = run(capsys, "--out", str(out), *argv, *pair)
+            assert code == 0, err
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+    def test_negative_infinity_is_still_refused(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["--out", str(out), *TOA_ARGV, "--x0", "-inf"])
+        assert exc.value.code == 1
+        assert "--x0: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

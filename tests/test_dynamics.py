@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rtoa import dynamics, quadrature
 from rtoa.core import PhysConstants
-from rtoa.dynamics import DensityGrid, density, density_grid
+from rtoa.dynamics import DensityGrid, density_grid
 from rtoa.quadrature import QuadratureConfig, extrapolate_to_zero
 from rtoa.spectral import Parity
 
@@ -26,10 +26,21 @@ def branch_integrals(branch, tau, x, t, epsilon=Q.epsilon):
     return float(f1), float(f2)
 
 
+def point_density(branch, tau, x, t, k=K, q=Q, epsilon=None):
+    """The point density P = m0^2 c^3 / (2 pi^2 hbar^2) (f1^2 + f2^2) at
+    one spacetime point, from one converged single-cell integral that does
+    not fold."""
+    eps = q.epsilon if epsilon is None else epsilon
+    res = dynamics._f_integrals_result(branch, tau, [x], [t], k, q, eps)
+    assert res.converged
+    f1, f2 = res.value[0]
+    return float(k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2) * (f1**2 + f2**2))
+
+
 def extrapolated_density(branch, tau, x, t, k=K, q=Q):
     """The point density with the epsilon ladder extrapolated to zero and
     clamped at zero, the Neville step of every extrapolated mesh."""
-    rungs = [density(branch, tau, x, t, k, q, epsilon=e) for e in q.epsilon_ladder]
+    rungs = [point_density(branch, tau, x, t, k, q, epsilon=e) for e in q.epsilon_ladder]
     return max(extrapolate_to_zero(q.epsilon_ladder, rungs), 0.0)
 
 
@@ -96,33 +107,35 @@ class TestFIntegrals:
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
                 branch_integrals(Parity.NONNODAL, 0.5, 0.0, 0.5, epsilon=epsilon)
             with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
-                density(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=epsilon)
+                point_density(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=epsilon)
 
 
 class TestDensity:
     def test_positive_and_lambda_free(self):
-        d = density(Parity.NONNODAL, 0.5, 1.1, 0.8, K, Q)
+        d = point_density(Parity.NONNODAL, 0.5, 1.1, 0.8, K, Q)
         assert d >= 0.0
         # charge sign never enters the computation: same call serves both
 
     def test_nodal_line_exactly_zero(self):
         for t in (0.0, 0.5, 1.0):
-            assert density(Parity.NODAL, 0.5, 0.0, t, K, Q) == 0.0
+            assert point_density(Parity.NODAL, 0.5, 0.0, t, K, Q) == 0.0
 
     def test_mirror_symmetry(self):
-        a = density(Parity.NODAL, 1.0, 2.3, 0.4, K, Q)
-        b = density(Parity.NODAL, 1.0, -2.3, 0.4, K, Q)
+        a = point_density(Parity.NODAL, 1.0, 2.3, 0.4, K, Q)
+        b = point_density(Parity.NODAL, 1.0, -2.3, 0.4, K, Q)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_time_mirror_about_tau(self):
-        a = density(Parity.NONNODAL, 1.0, 0.8, 1.0 + 0.3, K, Q)
-        b = density(Parity.NONNODAL, 1.0, 0.8, 1.0 - 0.3, K, Q)
+        a = point_density(Parity.NONNODAL, 1.0, 0.8, 1.0 + 0.3, K, Q)
+        b = point_density(Parity.NONNODAL, 1.0, 0.8, 1.0 - 0.3, K, Q)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_prefactor(self):
+        # a cell of an unfolded grid (x and t - tau mirror nowhere) against
+        # the formula on the point integrals; cells share a panel tree
         f1, f2 = branch_integrals(Parity.NONNODAL, 0.5, 0.7, 0.2)
-        d = density(Parity.NONNODAL, 0.5, 0.7, 0.2, K, Q)
-        assert d == pytest.approx((f1 * f1 + f2 * f2) / (2.0 * math.pi**2), rel=1e-12)
+        g = density_grid(Parity.NONNODAL, 0.5, (0.7, 1.1), (0.2, 0.6), 2, 2, K, Q)
+        assert g.values[0, 0] == pytest.approx((f1 * f1 + f2 * f2) / (2.0 * math.pi**2), rel=1e-12)
 
     # x in units of hbar / (m0 c) and t, tau in units of hbar / (m0 c^2): the
     # branch integrals are dimensionless, so only the prefactor scales
@@ -134,8 +147,8 @@ class TestDensity:
     def test_density_scales_with_the_natural_units(self, k, branch):
         length, time = k.hbar / k.momentum_scale, k.hbar / k.rest_energy
         for tau, x, t in ((1.0, 0.3, 1.2), (0.5, -2.0, 0.2), (1.0, 0.7, 3.0)):
-            want = k.m0**2 * k.c**3 / k.hbar**2 * density(branch, tau, x, t, K, Q)
-            got = density(branch, tau * time, x * length, t * time, k, Q)
+            want = k.m0**2 * k.c**3 / k.hbar**2 * point_density(branch, tau, x, t, K, Q)
+            got = point_density(branch, tau * time, x * length, t * time, k, Q)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_epsilon_ladder_stabilizes_off_the_light_cone(self):
@@ -148,7 +161,7 @@ class TestDensity:
         pts = [(0.0, 1.3), (1.5, 0.8), (2.5, 1.3), (-3.0, 0.6)]
         for x, t in pts:
             ladder = [
-                density(Parity.NONNODAL, 0.5, x, t, K, Q, epsilon=e)
+                point_density(Parity.NONNODAL, 0.5, x, t, K, Q, epsilon=e)
                 for e in Q.epsilon_ladder
             ]
             d1 = abs(ladder[1] - ladder[0])
@@ -160,7 +173,7 @@ class TestDensity:
 
     def test_peak_sharpens_as_regulator_shrinks(self):
         vals = [
-            density(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=e)
+            point_density(Parity.NONNODAL, 0.5, 0.0, 0.5, K, Q, epsilon=e)
             for e in (0.3, 0.15, 0.075)
         ]
         assert vals[0] < vals[1] < vals[2]
@@ -197,9 +210,9 @@ class TestDensityGrid:
 
     @pytest.mark.parametrize("branch", list(Parity))
     def test_point_densities_equal_grid_cells(self, branch):
-        # one code path: the point routines are the 1 x 1 mesh; grid cells
-        # share a finer panel tree, so they agree to roundoff, not bitwise
-        for extrapolate, point in ((False, density), (True, extrapolated_density)):
+        # grid cells against single-cell integrals that do not fold; grid
+        # cells share a finer panel tree, so they agree to roundoff, not bitwise
+        for extrapolate, point in ((False, point_density), (True, extrapolated_density)):
             g = density_grid(branch, 0.5, (-1.5, 1.5), (0.1, 0.9), 5, 3, K, Q, extrapolate=extrapolate)
             for i, t in enumerate(g.t_samples):
                 for j, x in enumerate(g.x_samples):
@@ -239,7 +252,7 @@ class TestDensityGrid:
         assert np.array_equal(g.values, g.values[::-1])
         if branch.is_nodal and nx % 2:
             assert np.all(g.values[:, nx // 2] == 0.0)
-        point = extrapolated_density if extrapolate else density
+        point = extrapolated_density if extrapolate else point_density
         cells = [[point(branch, tau, float(x), float(t), K, Q) for x in g.x_samples] for t in g.t_samples]
         np.testing.assert_allclose(g.values, cells, rtol=0.0, atol=1e-12 * g.values.max())
 
@@ -307,7 +320,7 @@ class TestDensityBuffers:
 
         monkeypatch.setattr(dynamics, "integrate_sqrt_endpoint", recording)
         xs, ts, eps = LADDER_MESH
-        dynamics._f_integrals_result(Parity.NONNODAL, 1.0, xs, ts, K, Q, eps, strict=False)
+        dynamics._f_integrals_result(Parity.NONNODAL, 1.0, xs, ts, K, Q, eps)
         assert len(outputs) > 100
         # the first call holds the head panel's single GK15 panel, so the
         # buffer grows once, to the two-panel blocks; every later block
@@ -320,7 +333,7 @@ class TestDensityBuffers:
         xs, ts, eps = LADDER_MESH
         tracemalloc.start()
         try:
-            dynamics._f_integrals_result(branch, 1.0, xs, ts, K, Q, eps, strict=False)
+            dynamics._f_integrals_result(branch, 1.0, xs, ts, K, Q, eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

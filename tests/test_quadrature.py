@@ -204,6 +204,25 @@ class TestSqrtEndpoint:
         assert res.value[0, 0] == pytest.approx(expect_re, abs=2e-10)
         assert res.value[0, 1] == pytest.approx(expect_im, abs=2e-10)
 
+    def test_arrays_f_returns_are_never_written(self):
+        # one integrand contract for head and tail: read once, never written
+        handed = []
+
+        def f(q):
+            out = np.sqrt(q)[:, None] * np.cos(np.multiply.outer(q, [1.0, 9.0]))
+            handed.append((out, out.copy()))
+            return out
+
+        integrate_sqrt_endpoint(f, 20.0, max_width=1.0, abs_tol=1e-12, members=2)
+        assert len(handed) > 2
+        assert all(np.array_equal(out, copy) for out, copy in handed)
+
+    def test_starved_budget_flags_and_never_raises(self):
+        starved = dict(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=4)
+        res = integrate_sqrt_endpoint(lambda q: np.sqrt(q) * np.cos(200.0 * q), 50.0, **starved)
+        assert res.member_converged.tolist() == [False]
+        assert res.converged is False and np.isfinite(res.value).all()
+
 
 # damped oscillations with a different frequency and decay per member,
 # each with a (cos, sin) output pair

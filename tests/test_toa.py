@@ -110,6 +110,13 @@ class TestReferences:
     def test_photon_time_is_ultrarelativistic_limit(self, p0, x0):
         assert classical_time(p0, x0, K) == pytest.approx(photon_time(p0, x0, K), rel=1e-12)
 
+    @pytest.mark.parametrize("p0", [1e-320, -1e-320])
+    def test_overflowing_classical_time_refused(self, p0):
+        # -x0 sqrt(p0^2 + m0^2 c^2) / (p0 c) overflows to inf
+        for call in (classical_time, classical_references):
+            with pytest.raises(ValueError, match="classical arrival time .* is not finite"):
+                call(p0, -7.0, K)
+
     def test_photon_time_at_rest_is_the_distance(self):
         assert photon_time(0.0, 7.0, K) == photon_time(0.0, -7.0, K) == 7.0
 

@@ -15,11 +15,32 @@ from rtoa.spectral import completeness_check
 
 from conftest import load_perfbench
 
+gate, workloads = load_perfbench("gate"), load_perfbench("workloads")
+
 
 def test_every_wrapped_name_resolves():
     tracing = load_perfbench("tracing")
     resolved = tracing.resolve_targets()
     assert len(resolved) == len(tracing.TARGETS)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_expected_span_records(workload, tmp_path, monkeypatch):
+    # the benchmark's traced pass fails when a layer it expects records no span
+    tracing = load_perfbench("tracing")
+    resolved = tracing.resolve_targets()
+    for module, fn, target in resolved:
+        monkeypatch.setattr(module, target.attr, fn)  # the original comes back after the test
+    tracer = tracing.Tracer()
+    tracer.install(resolved)
+    inputs = workloads.make_inputs(workload, workloads.DEFAULT_SEED, "tiny")
+    for op in workloads.operations(workload, inputs, str(tmp_path)):
+        with tracer.op(op["name"]):
+            if op["kind"] == "call":
+                gate.conjugacy_residuals(inputs["bump"], inputs["grids"])
+            else:
+                assert cli.dispatch(op["argv"]) == 0, op["name"]
+    tracing.check_expected(workload, tracer.take())
 
 
 def test_completeness_keeps_the_parameter_names_the_tracer_binds():
