@@ -71,11 +71,18 @@ class GaussianState:
         decayed below 1e-12 in probability at the edges; shifted half a
         step if p = 0 would land exactly on a node.  For p0 < 0 it is the
         mirror image of the p0 > 0 partner's grid, so a packet and its
-        mirror (p0, x0) -> (-p0, -x0) sample the sqrt(|p|) cusp alike."""
+        mirror (p0, x0) -> (-p0, -x0) sample the sqrt(|p|) cusp alike.  A
+        p0 so large that the grid's samples are not strictly increasing
+        is refused."""
         half = DEFAULT_HALF_WIDTH_SIGMAS * 0.5 * self.k.momentum_scale
-        if self.p0 < 0.0:
-            return -momentum_grid(-self.p0 - half, -self.p0 + half, DEFAULT_GRID_POINTS)[::-1]
-        return momentum_grid(self.p0 - half, self.p0 + half, DEFAULT_GRID_POINTS)
+        p = abs(self.p0)
+        if not np.all(np.diff(np.linspace(p - half, p + half, DEFAULT_GRID_POINTS)) > 0.0):
+            raise ValueError(
+                f"p0 = {self.p0:g} is too large for a momentum grid of half-width {half:g}: "
+                "its samples are not strictly increasing"
+            )
+        grid = momentum_grid(p - half, p + half, DEFAULT_GRID_POINTS)
+        return -grid[::-1] if self.p0 < 0.0 else grid
 
     def field(self, grid=None) -> SpinorField:
         grid = self.default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -256,7 +263,7 @@ def classical_time(p0: float, x0: float, k: PhysConstants = PhysConstants()) -> 
     small that x0 / v overflows) is refused."""
     if p0 == 0.0:
         return None
-    t = -x0 * math.sqrt(p0**2 + (k.momentum_scale) ** 2) / (p0 * k.c)
+    t = -x0 * math.hypot(p0, k.momentum_scale) / (p0 * k.c)
     if not math.isfinite(t):
         raise ValueError(f"classical arrival time for p0 = {p0:g}, x0 = {x0:g} is not finite")
     return t

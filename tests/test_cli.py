@@ -708,6 +708,13 @@ class TestNonFiniteNumbers:
         assert err.splitlines()[-1].startswith("rtoa: error: classical arrival time") and "is not finite" in err
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    def test_unresolvable_momentum_names_p0(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "--out", str(out), "toa-dist", "--p0", "1e200", "--x0", "-7")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error: p0 = 1e+200 ")
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("axis", ["x", "t"])
     def test_overflowing_mesh_width_refused(self, tmp_path, capsys, axis):
         out = tmp_path / "data"
@@ -782,7 +789,7 @@ class TestExitCodes:
             ["--abs-tol", "-1", "--rel-tol", "-1", *DENSITY_ARGV],  # every cell ran to max_subdivisions
             ["--abs-tol", "0", "--rel-tol", "0", *DENSITY_ARGV],
             [*TOA_ARGV, "--tau-min", "10", "--tau-max", "5"],
-            # pi / max|x| as the panel width makes the first-pass panel count infinite
+            # 7 pi / (4 (|a| + |b|)) as the panel width makes the first-pass panel count infinite
             [*DENSITY_ARGV[:5], "--xmin=-1e308", "--xmax", "0", *DENSITY_ARGV[9:]],
             # m0 c^2 overflows
             ["--c", "1e200", "eigenfunction", "--tau", "1", "--n", "3"],

@@ -338,3 +338,58 @@ class TestDensityBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2 * quadrature._BLOCK_VALUES * 8
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    def test_cells_are_the_two_real_products(self, monkeypatch, branch):
+        # one complex product per cell gives exactly the values of the real
+        # products g K(a q) cos(b root) and g K(a q) sin(b root)
+        seen = []
+
+        def recording(f, *args, **kwargs):
+            def f_recorded(q):
+                out = f(q)
+                seen.append((q.copy(), out.copy()))
+                return out
+
+            return quadrature.integrate_sqrt_endpoint(f_recorded, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_sqrt_endpoint", recording)
+        xs, ts, eps = LADDER_MESH
+        tau = 1.0
+        dynamics._f_integrals_result(branch, tau, xs, ts, K, Q, eps)
+        a = K.momentum_scale * xs / K.hbar
+        b = K.rest_energy * (ts - tau) / K.hbar
+        kernel = np.sin if branch.is_nodal else np.cos
+        for q, out in seen:
+            root = np.sqrt(1.0 + q * q)
+            space = kernel(np.multiply.outer(q, a))
+            weighted = (np.sqrt(q) * root**-0.5 * np.exp(-eps * q))[:, None, None] * space[:, None, :]
+            phase = np.multiply.outer(root, b)[:, :, None]
+            expected = np.stack([weighted * np.cos(phase), weighted * np.sin(phase)], axis=-1)
+            assert np.array_equal(out, expected.reshape(out.shape))
+
+
+def _half_period_width(a, b):
+    """The panel rule before the sum-frequency width: half a period of the
+    faster of the two factors, capped at 4."""
+    return min(math.pi / max(abs(a), abs(b), 1e-30), 4.0)
+
+
+class TestSumFrequencyPanels:
+    @settings(max_examples=16, deadline=None)
+    @given(
+        branch=st.sampled_from(list(Parity)),
+        tau=st.floats(0.5, 1.5),
+        x_half=st.floats(0.5, 10.0),
+        t_half=st.floats(0.01, 4.0),
+        epsilon=st.sampled_from([0.3, 0.075]),
+    )
+    def test_densities_match_the_half_period_rule(self, branch, tau, x_half, t_half, epsilon):
+        q = QuadratureConfig(epsilon=epsilon)
+        args = (branch, tau, (-x_half, x_half), (1.0 - t_half, 1.0 + t_half), 7, 5, K, q)
+        g = density_grid(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_panel_width", _half_period_width)
+            reference = density_grid(*args)
+        assert g.flagged == reference.flagged == ()
+        np.testing.assert_allclose(g.values, reference.values, rtol=0.0, atol=1e-12 * reference.values.max())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtoa import quadrature, spectral
+from rtoa import dynamics, quadrature, spectral
 from rtoa.cli import check_overlap
 from rtoa.core import PhysConstants
 from rtoa.dynamics import density_grid
@@ -329,21 +329,54 @@ def engine_calls(monkeypatch):
 class TestWorkPerCall:
     """The panels each engine call of the benchmarked geometries takes, so
     that an estimator that refines more fails here and not only in the
-    benchmark.  integrate_sqrt_endpoint makes a head call, then a tail."""
+    benchmark.  integrate_sqrt_endpoint makes a head call, then a tail.
+    Every density tail is its first pass, ceil((cutoff - 0.5) / width)
+    panels of dynamics._panel_width's 7/8 period of |a| + |b|: 91 for
+    the cutoff 100 of eps = 0.3, 182 and 364 for eps / 2 and eps / 4."""
 
     @pytest.mark.parametrize("branch", list(Parity))
     def test_figure_mesh(self, engine_calls, branch):
         density_grid(branch, 1.0, (-4.0, 4.0), (0.0, 2.0), 41, 41)
-        assert engine_calls == [(1, True), (127, True)]
+        assert engine_calls == [(1, True), (91, True)]
 
     @pytest.mark.parametrize("branch", list(Parity))
     def test_ladder_rungs(self, engine_calls, branch):
         density_grid(branch, 1.0, (-4.0, 4.0), (0.0, 2.0), 21, 21, extrapolate=True)
-        assert engine_calls == [(1, True), (127, True), (1, True), (255, True), (1, True), (509, True)]
+        assert engine_calls == [(1, True), (91, True), (1, True), (182, True), (1, True), (364, True)]
 
     def test_overlap_ladder(self, engine_calls):
         assert check_overlap(PhysConstants())["pass"]
         assert engine_calls == [(193, True), (383, True), (764, True), (1910, True)]
+
+
+# (tau, x half-width, t range, nx = nt, extrapolate): the benchmark's
+# figure and ladder meshes at the ends and middle of its tau jitter, and
+# three 21 x 21 ladders off it: wide x, t near tau, and t far from tau
+FIRST_PASS_MESHES = [
+    *[(tau, 4.0, (0.0, 2.0), n, ex) for tau in (0.95, 1.0, 1.05) for n, ex in ((41, False), (21, True))],
+    (1.0, 10.0, (0.0, 2.0), 21, True),
+    (1.0, 4.0, (0.99, 1.01), 21, True),
+    (1.0, 4.0, (-3.0, 5.0), 21, True),
+]
+
+
+class TestDensityFirstPass:
+    """Every density tail converges on its first pass of panels, so a
+    panel rule widened until a tail refines fails here.  Each mesh is one
+    block, so its width comes from the mesh's largest |x| and |t - tau|
+    (m0 = c = hbar = 1)."""
+
+    @pytest.mark.parametrize("branch", list(Parity))
+    @pytest.mark.parametrize("tau, half, t_range, n, extrapolate", FIRST_PASS_MESHES)
+    def test_every_tail_is_its_first_pass(self, engine_calls, branch, tau, half, t_range, n, extrapolate):
+        density_grid(branch, tau, (-half, half), t_range, n, n, extrapolate=extrapolate)
+        q = QuadratureConfig()
+        width = dynamics._panel_width(half, max(abs(t - tau) for t in t_range))
+        epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
+        tails = [math.ceil((q.cutoff(eps) - 0.5) / width) for eps in epsilons]
+        # integrate_sqrt_endpoint's head call (no width rule), then its tail, per rung
+        assert [panels for panels, _ in engine_calls[1::2]] == tails
+        assert all(converged for _, converged in engine_calls)
 
 
 class TestExtrapolation:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestGaussianState:
         g = gaussian_state(2.0, 0.0, K).default_grid()
         assert np.min(np.abs(g)) > 1e-10
         assert g.size == 4097
+
+    @pytest.mark.parametrize("p0", [1e200, -1e17, 1e14])
+    def test_default_grid_refuses_a_p0_it_cannot_resolve(self, p0):
+        # the p0 +- 4 m0 c samples round onto each other
+        with pytest.raises(ValueError, match=re.escape(f"p0 = {p0:g} ") + ".* half-width 4"):
+            gaussian_state(p0, -7.0, K).default_grid()
 
 
 def point_overlap(state, branch, tau, lam=ChargeSign.POSITIVE):
@@ -116,6 +123,14 @@ class TestReferences:
         for call in (classical_time, classical_references):
             with pytest.raises(ValueError, match="classical arrival time .* is not finite"):
                 call(p0, -7.0, K)
+
+    @pytest.mark.parametrize("p0", [1e200, -1e200])
+    def test_huge_momentum_gives_the_photon_time(self, p0):
+        # p0^2 overflows, |p0| sqrt(1 + (m0 c / p0)^2) does not
+        x0 = -7.0 if p0 > 0.0 else 7.0
+        assert classical_time(p0, x0, K) == photon_time(p0, x0, K) == 7.0
+        lo, hi = default_tau_range(p0, x0, K)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < 7.0 < hi
 
     def test_photon_time_at_rest_is_the_distance(self):
         assert photon_time(0.0, 7.0, K) == photon_time(0.0, -7.0, K) == 7.0
