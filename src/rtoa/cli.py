@@ -21,7 +21,9 @@ every emitted file.  Runs are fully deterministic: identical
 invocations produce byte-identical files.
 Exit codes: 0 success; 1 for a ValueError, how every routine refuses an
 input (non-finite numbers included), or an OSError on a file; 2 for a
-QuadratureConvergenceError or a failed check.  A time that does not
+failed check or a QuadratureConvergenceError, which only the overlap
+check of verify-spectral raises (a density cell that did not converge is
+flagged in its file instead).  A time that does not
 exist (t_class at p0 = 0, tau_mp when the window does not bracket the
 maximum) is null in JSON and left out of the CSV header.
 """
@@ -52,7 +54,6 @@ from .spectral import (
     apply_hamiltonian,
     completeness_check,
     eigenfunction_field,
-    eigenfunction_momentum,
     even_toa_coefficients,
     nonrel_limit_check,
     overlap,
@@ -334,6 +335,8 @@ def _residual_norm(f: SpinorField, g: SpinorField, inner=slice(2, -2)) -> float:
     den = math.sqrt(
         np.linalg.norm(g.upper[inner]) ** 2 + np.linalg.norm(g.lower[inner]) ** 2
     )
+    if den == 0.0:
+        raise ValueError("reference field is identically zero: no relative residual")
     return num / den
 
 
@@ -546,14 +549,15 @@ def cmd_eigenfunction(cfg: RunConfig, args) -> int:
         raise ValueError("need pmin < pmax")
     if args.n < 2:
         raise ValueError("need n >= 2")
-    grid = np.linspace(args.pmin, args.pmax, args.n)
-    upper, lower = eigenfunction_momentum(spec, args.time, grid, k)
+    if not math.isfinite(args.pmax - args.pmin):
+        raise ValueError("momentum range width pmax - pmin must be finite")
+    f = eigenfunction_field(spec, args.time, np.linspace(args.pmin, args.pmax, args.n), k)
     columns = {
-        "p": grid,
-        "re_upper": upper.real,
-        "im_upper": upper.imag,
-        "re_lower": lower.real,
-        "im_lower": lower.imag,
+        "p": f.grid,
+        "re_upper": f.upper.real,
+        "im_upper": f.upper.imag,
+        "re_lower": f.lower.real,
+        "im_lower": f.lower.imag,
     }
     _emit_csv(cfg, [], columns)
     return 0

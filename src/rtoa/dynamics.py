@@ -76,18 +76,17 @@ def _f_integrals_result(
     eps: float,
 ):
     """Damped branch integrals on the mesh ``ts`` x ``xs``, one member
-    per cell in row-major (t, x) order, each a (cos, sin) time-factor
-    pair: ``value[:, 0]`` is f1 and ``value[:, 1]`` is f2.
+    per cell in row-major (t, x) order, each the complex f1 + i f2 of the
+    (cos, sin) time-factor pair.
 
     The integrand factors as g(q) T(b sqrt(1+q^2)) K(a q), so each node
     costs len(xs) + len(ts) trigonometric evaluations, not their product.
     Each cell is one complex product (cos + i sin)(b sqrt(1+q^2)) times
     the real g(q) K(a q), written into one complex buffer per call, grown
-    when a block needs more room; the integrand returns the buffer's float
-    view, (f1, f2) as the (real, imaginary) pair.  The engine consumes
-    each block before asking for the next, and fresh block-sized arrays
-    would make the cost of every block depend on the allocator's heap
-    state.
+    when a block needs more room; the integrand returns that buffer.  The
+    engine consumes each block before asking for the next, and fresh
+    block-sized arrays would make the cost of every block depend on the
+    allocator's heap state.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"epsilon must be finite and > 0, got {eps!r}")
@@ -116,7 +115,7 @@ def _f_integrals_result(
         np.sin(phase, out=turn.imag)
         weighted = (sqrt_q * root**-0.5 * damping)[:, None] * space
         np.matmul(turn[:, :, None], weighted[:, None, :].astype(complex), out=cells)
-        return cells.view(float).reshape(qq.size, b.size * a.size, 2)
+        return cells
 
     return integrate_sqrt_endpoint(
         integrand,
@@ -125,15 +124,14 @@ def _f_integrals_result(
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_subdivisions=q.max_subdivisions,
-        n_out=2,
         members=a.size * b.size,
     )
 
 
 # Mesh cells integrated together in one call: enough that the per-node
 # trigonometric work is small against the cell products, few enough that
-# one GK15 panel of (cos, sin) values (15 * 2 * 1024) fits the engine's
-# block of 2**15 values.  A row wider than this is still one call.
+# one GK15 panel of complex values (15 * 1024, two floats each) fits the
+# engine's block of 2**15 floats.  A row wider than this is still one call.
 _MESH_CELLS = 1024
 
 
@@ -217,8 +215,7 @@ def density_grid(
         rung = np.empty(shape)
         for i in range(0, ts_kept.size, rows):
             res = _f_integrals_result(branch, tau, xs_kept, ts_kept[i : i + rows], k, q, eps)
-            f1, f2 = res.value[:, 0], res.value[:, 1]
-            rung[i : i + rows] = (pref * (f1**2 + f2**2)).reshape(-1, xs_kept.size)
+            rung[i : i + rows] = (pref * (res.value.real**2 + res.value.imag**2)).reshape(-1, xs_kept.size)
             converged[i : i + rows] &= res.member_converged.reshape(-1, xs_kept.size)
         rungs.append(rung)
     values = rungs[0]

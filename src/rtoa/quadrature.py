@@ -1,32 +1,32 @@
 """Adaptive Gauss-Kronrod quadrature with oscillation-aware panel
 splitting, plus polynomial extrapolation of regulator ladders.
 
-The engine batches panel evaluations through numpy and supports
-vector-valued integrands, so one pass can produce e.g. the cosine and
-sine components of an oscillatory transform.  Integrable sqrt endpoint
-behaviour is handled by a dedicated first panel under the substitution
-q = u^2 rather than by brute subdivision.
+The engine batches panel evaluations through numpy and integrates
+complex integrands, so one pass gives e.g. the cosine and sine parts of
+an oscillatory transform as the real and imaginary parts of one value.
+Integrable sqrt endpoint behaviour is handled by a dedicated first panel
+under the substitution q = u^2 rather than by brute subdivision.
 
 One call integrates ``members`` integrands (default 1) on one shared
-panel tree, ``f`` returning (npoints, members, n_out).  Each member keeps
-the single-integrand rule: its own tolerance
-max(abs_tol, rel_tol * max|total|), its own error estimate and its own
-converged flag (``QuadratureResult.member_converged``; ``converged``
-is one bool, true when every member converged).  Panels are
-evaluated in blocks of at most _BLOCK_VALUES integrand values.  When
-the per-panel table of all members would exceed that budget, the
-engine sweeps the initial panels once keeping only per-member totals,
-then keeps a table, and refines, only for the members still over
-tolerance.
+panel tree, ``f`` returning (npoints, members) values, real values taken
+as complex.  Each member keeps the single-integrand rule on its real and
+imaginary parts: its own tolerance max(abs_tol, rel_tol * max(|Re|, |Im|))
+of its total, its own error estimate, the larger of those of its two
+parts, and its own converged flag (``QuadratureResult.member_converged``;
+``converged`` is one bool, true when every member converged).  Panels
+are evaluated in blocks of at most _BLOCK_VALUES floats.  When the
+per-panel table of all members would exceed that budget, the engine
+sweeps the initial panels once keeping only per-member totals, then
+keeps a table, and refines, only for the members still over tolerance.
 
 Each panel's error estimate is an upper bound on QUADPACK's estimate,
 from the one weighted sum of the block that gives its value (:func:`_gk15`).
 Both engines keep one contract with ``f``: each array it returns is read
 once, before ``f`` is called again, and never written, so an integrand
 may hand out views of one reused buffer rather than a fresh block-sized
-array per call.  :func:`adaptive_quadrature` raises on an exhausted
-budget unless told not to; :func:`integrate_sqrt_endpoint` always flags
-the members that did not converge and never raises.
+array per call.  Neither engine raises on an exhausted subdivision
+budget: the members that did not converge are flagged, and a caller that
+needs convergence raises :class:`QuadratureConvergenceError` itself.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# Most integrand values (abscissae x members x outputs) one call of ``f``
-# returns, and the largest per-panel table kept for refinement.
+# Most floats (abscissae x members x 2, a complex value being two) one
+# call of ``f`` returns, and the largest per-panel table kept for refinement.
 _BLOCK_VALUES = 2**15
 
 # Width of the leading panel that integrate_sqrt_endpoint maps by q = u^2.
@@ -83,7 +83,7 @@ _ROWS = np.stack([GK_WEIGHTS, GK_WEIGHTS - G_WEIGHTS, GK_WEIGHTS * np.sign(GK_NO
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """A quadrature its caller needed exhausted its subdivision budget.
 
     ``estimate`` holds the best value reached and ``error`` the
     achieved error estimate, an upper bound on QUADPACK's estimate.
@@ -142,7 +142,7 @@ class QuadratureConfig:
 
 @dataclass
 class QuadratureResult:
-    """``value`` is shaped (members, n_out); ``error`` and
+    """``value`` is complex, shaped (members,); ``error`` and
     ``member_converged`` hold one error estimate, an upper bound on
     QUADPACK's estimate, and one flag per member, and ``converged`` holds
     when every member converged."""
@@ -157,16 +157,18 @@ class QuadratureResult:
         return bool(self.member_converged.all())
 
 
-def _gk15(f, panels: np.ndarray, members: int, n_out: int):
+def _gk15(f, panels: np.ndarray, members: int):
     """GK15 on a batch of panels, summed for every member.  Returns
-    Kronrod values (n_panels, members, n_out) and error estimates
-    (n_panels, members), each an upper bound on QUADPACK's estimate.
+    complex Kronrod values (n_panels, members) and error estimates
+    (n_panels, members), each the larger of the estimates of the real and
+    imaginary parts and an upper bound on QUADPACK's estimate of each.
 
-    The block is read once, by one product with the rows of _ROWS: K,
-    K - G, K sgn(x) and K (s - m), with s = sgn(x^2 - 1/3) and
-    m = sum(K s) / 2.  With h the half-width, the value is h K.f and the
-    estimate is R min(1, sqrt(R / L)), or R where L = 0, for
-    R = 200 h |(K - G).f| and L = h max(|K sgn(x).f|, |K (s - m).f|).
+    The block is read once, as the float view of a C-contiguous complex
+    array, by one product with the rows of _ROWS: K, K - G, K sgn(x) and
+    K (s - m), with s = sgn(x^2 - 1/3) and m = sum(K s) / 2.  With h the
+    half-width, the value is h K.f and the estimate is R min(1, sqrt(R / L)),
+    or R where L = 0, for R = 200 h |(K - G).f| and
+    L = h max(|K sgn(x).f|, |K (s - m).f|).
 
     It bounds QUADPACK's q = A min(1, (R / A)^1.5), A = resasc =
     h sum K |f - K.f / 2|.  The two rows give sum K s' (f - K.f / 2) for
@@ -178,59 +180,55 @@ def _gk15(f, panels: np.ndarray, members: int, n_out: int):
     """
     h = 0.5 * (panels[:, 1:] - panels[:, :1])
     x = (panels[:, :1] + h) + h * GK_NODES
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    sums = np.matmul(_ROWS, fx.reshape(panels.shape[0], GK_NODES.size, members * n_out))
+    fx = np.ascontiguousarray(f(x.ravel()), dtype=complex).view(float)
+    sums = np.matmul(_ROWS, fx.reshape(panels.shape[0], GK_NODES.size, 2 * members))
     values = sums[:, 0] * h  # a compact copy, not a view that holds all four sums
     raw = 200.0 * h * np.abs(sums[:, 1])
     low = h * np.maximum(np.abs(sums[:, 2]), np.abs(sums[:, 3]))
     # fmin: where L = 0 the ratio is inf or nan and the estimate is R
     with np.errstate(divide="ignore", invalid="ignore"):
         err = raw * np.fmin(1.0, np.sqrt(raw / low))
-    shape = (panels.shape[0], -1, n_out)
-    err = err.reshape(shape)
-    worst = err[:, :, 0]
-    for col in range(1, n_out):  # np.maximum: a reduce over the short axis is slow
-        worst = np.maximum(worst, err[:, :, col])
-    return values.reshape(shape), worst
+    # np.maximum: a reduce over the short (real, imaginary) axis is slow
+    return values.view(complex), np.maximum(err[:, 0::2], err[:, 1::2])
 
 
-def _blocks(panels: np.ndarray, members: int, n_out: int):
-    """Panels in runs of at most _BLOCK_VALUES integrand values (at
-    least one panel per run)."""
-    step = max(1, _BLOCK_VALUES // (GK_NODES.size * members * n_out))
+def _blocks(panels: np.ndarray, members: int):
+    """Panels in runs of at most _BLOCK_VALUES floats of integrand values
+    (at least one panel per run)."""
+    step = max(1, _BLOCK_VALUES // (GK_NODES.size * members * 2))
     return (panels[i : i + step] for i in range(0, panels.shape[0], step))
 
 
-def _evaluate_panels(f, panels: np.ndarray, members: int, n_out: int, act: np.ndarray):
+def _evaluate_panels(f, panels: np.ndarray, members: int, act: np.ndarray):
     """The per-panel table of :func:`_gk15` for the members ``act``,
     evaluated block by block into one preallocated table, so the peak is
     the table plus one block.  Each block is summed for every member and
     the table keeps the columns of ``act``."""
-    values = np.empty((panels.shape[0], act.size, n_out))
+    values = np.empty((panels.shape[0], act.size), dtype=complex)
     errors = np.empty((panels.shape[0], act.size))
     start = 0
-    for block in _blocks(panels, members, n_out):
+    for block in _blocks(panels, members):
         stop = start + block.shape[0]
-        block_values, block_errors = _gk15(f, block, members, n_out)
+        block_values, block_errors = _gk15(f, block, members)
         # take, not [:, act]: 4 against 22 us for a density-ladder block (2-vCPU Xeon)
         values[start:stop], errors[start:stop] = block_values.take(act, axis=1), block_errors.take(act, axis=1)
         start = stop
     return values, errors
 
 
-def _sweep(f, panels: np.ndarray, members: int, n_out: int):
+def _sweep(f, panels: np.ndarray, members: int):
     """Per-member totals and error sums over ``panels``, keeping no
     per-panel table."""
-    total, total_err = np.zeros((members, n_out)), np.zeros(members)
-    for block in _blocks(panels, members, n_out):
-        values, errors = _gk15(f, block, members, n_out)
+    total, total_err = np.zeros(members, dtype=complex), np.zeros(members)
+    for block in _blocks(panels, members):
+        values, errors = _gk15(f, block, members)
         total += values.sum(axis=0)
         total_err += errors.sum(axis=0)
     return total, total_err
 
 
 def _tolerance(total: np.ndarray, abs_tol: float, rel_tol: float) -> np.ndarray:
-    return np.maximum(abs_tol, rel_tol * np.abs(total).max(axis=1))
+    return np.maximum(abs_tol, rel_tol * np.maximum(np.abs(total.real), np.abs(total.imag)))
 
 
 def adaptive_quadrature(
@@ -242,21 +240,21 @@ def adaptive_quadrature(
     rel_tol: float = QuadratureConfig.rel_tol,
     max_subdivisions: int = QuadratureConfig.max_subdivisions,
     max_width: float | None = None,
-    n_out: int = 1,
     members: int = 1,
-    raise_on_failure: bool = True,
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] with adaptive GK15 bisection.
 
-    ``f`` maps a flat array of abscissae to (npoints, members, n_out)
-    values (any shape of that size); each array is read once, before
-    ``f`` is called again, and never written.  ``max_width`` caps the
-    initial panel width (use a half period of the fastest oscillating
+    ``f`` maps a flat array of abscissae to (npoints, members) real or
+    complex values (any shape of that size); each array is read once,
+    before ``f`` is called again, and never written.  ``max_width`` caps
+    the initial panel width (use a half period of the fastest oscillating
     factor).
 
     Members share one panel tree: a panel is bisected when any member
     still over its tolerance asks for it, and a member's total is fixed
-    once that member converges.
+    once that member converges.  A member still over its tolerance when
+    the next refinement would pass ``max_subdivisions`` panels is flagged
+    in ``member_converged``; this never raises.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -268,18 +266,18 @@ def adaptive_quadrature(
     cuts = np.linspace(a, b, int(np.ceil(count)) + 1)
     panels = np.stack([cuts[:-1], cuts[1:]], axis=1)
 
-    value, error = np.zeros((members, n_out)), np.zeros(members)
+    value, error = np.zeros(members, dtype=complex), np.zeros(members)
     converged = np.ones(members, dtype=bool)
     act = np.arange(members)  # members still over tolerance
-    if panels.shape[0] * members * n_out > _BLOCK_VALUES:
+    if panels.shape[0] * members * 2 > _BLOCK_VALUES:
         # the per-panel table would not fit: one sweep for the totals,
         # then a table for the members still over tolerance only
-        total, total_err = _sweep(f, panels, members, n_out)
+        total, total_err = _sweep(f, panels, members)
         done = total_err <= _tolerance(total, abs_tol, rel_tol)
         value[done], error[done] = total[done], total_err[done]
         act = act[~done]
     if act.size:
-        values, errors = _evaluate_panels(f, panels, members, n_out, act)
+        values, errors = _evaluate_panels(f, panels, members, act)
     span = b - a
     while act.size:
         total = values.sum(axis=0)
@@ -300,21 +298,13 @@ def adaptive_quadrature(
         n_new = panels.shape[0] + int(refine.sum())
         if n_new > max_subdivisions:
             converged[act] = False
-            if raise_on_failure:
-                worst = int(np.argmax(error[act] / tol))
-                raise QuadratureConvergenceError(
-                    f"quadrature stalled at error {error[act[worst]]:.3e} (tol {tol[worst]:.3e}) "
-                    f"after {panels.shape[0]} panels",
-                    estimate=value,
-                    error=float(error[act[worst]]),
-                )
             break
         bad = panels[refine]
         mid = 0.5 * (bad[:, 0] + bad[:, 1])
         children = np.concatenate(
             [np.stack([bad[:, 0], mid], axis=1), np.stack([mid, bad[:, 1]], axis=1)]
         )
-        child_vals, child_errs = _evaluate_panels(f, children, members, n_out, act)
+        child_vals, child_errs = _evaluate_panels(f, children, members, act)
         panels = np.concatenate([panels[~refine], children])
         values = np.concatenate([values[~refine], child_vals])
         errors = np.concatenate([errors[~refine], child_errs])
@@ -329,7 +319,6 @@ def integrate_sqrt_endpoint(
     abs_tol: float = QuadratureConfig.abs_tol,
     rel_tol: float = QuadratureConfig.rel_tol,
     max_subdivisions: int = QuadratureConfig.max_subdivisions,
-    n_out: int = 1,
     members: int = 1,
 ) -> QuadratureResult:
     """Integrate f over (0, b] where f(q) ~ sqrt(q) * smooth near 0.
@@ -338,21 +327,14 @@ def integrate_sqrt_endpoint(
     maps the sqrt behaviour onto a smooth integrand; the remainder uses
     the plain adaptive rule.  ``f`` and ``members`` are as for
     :func:`adaptive_quadrature`: each array ``f`` returns is read once and
-    never written.  A member that exhausts the subdivision budget is
-    flagged in ``member_converged``; this never raises.
+    never written, and a member that exhausts the subdivision budget is
+    flagged in ``member_converged``.
     """
     q1 = min(_FIRST_PANEL, b)
-    common = dict(
-        abs_tol=0.5 * abs_tol,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        n_out=n_out,
-        members=members,
-        raise_on_failure=False,
-    )
+    common = dict(abs_tol=0.5 * abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions, members=members)
 
     def head_f(u):
-        return np.asarray(f(u * u), dtype=float).reshape(u.size, members, n_out) * (2.0 * u[:, None, None])
+        return np.asarray(f(u * u), dtype=complex).reshape(u.size, members) * (2.0 * u[:, None])
 
     head = adaptive_quadrature(
         head_f,

@@ -38,7 +38,7 @@ from .core import (
     kinetic_energy,
     trapezoid_weights,
 )
-from .quadrature import QuadratureConfig, adaptive_quadrature, extrapolate_to_zero
+from .quadrature import QuadratureConfig, QuadratureConvergenceError, adaptive_quadrature, extrapolate_to_zero
 
 
 class Parity(enum.Enum):
@@ -150,8 +150,7 @@ class _GridTable:
     matmul.  The physics part belongs to the last constants used on the
     grid: the zero-node mask (None when no node is exactly 0), first and
     second, 2p, 2/p, 1/p^2 and E_p, all real.  Each part is one tuple,
-    replaced whole, so a reader in another thread sees a whole part or
-    the previous one."""
+    replaced whole."""
 
     __slots__ = ("grid", "_derivative", "_physics")
 
@@ -358,7 +357,9 @@ def overlap_numeric(
     its own rather than the one derived from a regulator, as the members
     of one quadrature with the default QuadratureConfig tolerances up to
     its smallest rung's cutoff, and extrapolates the ladder to zero.  The
-    coinciding-times case has no smooth part to estimate and is refused.
+    coinciding-times case has no smooth part to estimate and is refused,
+    and a quadrature that did not converge raises
+    QuadratureConvergenceError with the rungs' integrals as its estimate.
 
     For a same-sector pair the value does not depend on parity, since
     the integrand holds sgn(p)^2 = 1, and lambda = -1 gives -conj of the
@@ -379,9 +380,9 @@ def overlap_numeric(
     def integrand(p):
         e = energy(p, k)
         base = (p * k.c / e)[:, None] * np.exp(np.multiply.outer(e, damping) / k.rest_energy)
-        out = np.empty((p.size, damping.size, 2))
-        np.multiply(base, np.cos(omega * e)[:, None], out=out[:, :, 0])
-        np.multiply(base, np.sin(omega * e)[:, None], out=out[:, :, 1])
+        out = np.empty((p.size, damping.size), dtype=complex)
+        np.multiply(base, np.cos(omega * e)[:, None], out=out.real)
+        np.multiply(base, np.sin(omega * e)[:, None], out=out.imag)
         return out
 
     res = adaptive_quadrature(
@@ -392,10 +393,16 @@ def overlap_numeric(
         rel_tol=q.rel_tol,
         max_subdivisions=q.max_subdivisions,
         max_width=math.pi / (abs(omega) * k.c) if omega != 0.0 else None,
-        n_out=2,
         members=damping.size,
     )
-    values = (res.value[:, 0] + 1j * res.value[:, 1]) * k.c / (2.0 * math.pi * k.hbar)
+    if not res.converged:
+        error = float(res.error[~res.member_converged].max())
+        raise QuadratureConvergenceError(
+            f"overlap quadrature stalled at error {error:.3e} after {res.n_panels} panels",
+            estimate=res.value,
+            error=error,
+        )
+    values = res.value * k.c / (2.0 * math.pi * k.hbar)
     smooth = extrapolate_to_zero(OVERLAP_EPSILON_LADDER, values)
     return complex(lam * smooth)
 

@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rtoa import cli, dynamics
+from rtoa import cli, dynamics, spectral
 from rtoa.cli import dispatch
 from rtoa.core import ChargeSign
 from rtoa.dynamics import density_grid
+from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import EigenSpec, Parity, eigenfunction_momentum
 from rtoa.toa import gaussian_state, toa_distribution
 
@@ -521,7 +522,7 @@ class TestRefusedFlags:
         computations = (
             "density_grid",
             "toa_distribution",
-            "eigenfunction_momentum",
+            "eigenfunction_field",
             "check_nonrel_operator",
             "spectral_report",
         )
@@ -686,6 +687,24 @@ class TestNonFiniteNumbers:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert stdout == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "pmin, pmax, n",
+        [("1", "1.0000000000000002", "5"), ("-1e308", "1e308", "3")],
+        ids=["repeated-momenta", "overflowing-width"],
+    )
+    def test_unsampleable_momentum_grid_refused(self, tmp_path, capsys, pmin, pmax, n):
+        # a grid that repeats a momentum, and one whose width overflows
+        out = tmp_path / "data"
+        argv = ["eigenfunction", "--tau", "1", f"--pmin={pmin}", f"--pmax={pmax}", "--n", n]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error:")
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
     def test_overflowing_eigenfunction_phase_refused(self, tmp_path, capsys):
         # tau (t - tau) E_p / hbar overflows at p = +-8, where the file would read nan
         out = tmp_path / "data"
@@ -794,6 +813,8 @@ class TestExitCodes:
             # m0 c^2 overflows
             ["--c", "1e200", "eigenfunction", "--tau", "1", "--n", "3"],
             ["--c", "1e200", "verify-spectral"],
+            # |i hbar f|^2 underflows, so the residual has no reference norm
+            ["--hbar", "1e-200", "verify-spectral"],
             ["limits", "--c-ladder", "1e200", "1e201"],
         ],
     )
@@ -802,6 +823,16 @@ class TestExitCodes:
         code, stdout, err = run(capsys, "--out", str(out), *argv)
         assert code == 1
         assert err.splitlines()[-1].startswith("rtoa: error:")
+        assert "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
+    def test_convergence_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a budget of one panel stalls criterion 5's overlap quadrature
+        monkeypatch.setattr(spectral, "QuadratureConfig", lambda: QuadratureConfig(max_subdivisions=1))
+        out = tmp_path / "report.json"
+        code, stdout, err = run(capsys, "--out", str(out), "verify-spectral")
+        assert code == 2
+        assert err.splitlines()[-1].startswith("rtoa: numerical convergence failure:")
         assert "Traceback" not in err
         assert stdout == "" and not out.exists()
 

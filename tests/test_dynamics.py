@@ -22,8 +22,8 @@ Q = QuadratureConfig()
 
 def branch_integrals(branch, tau, x, t, epsilon=Q.epsilon):
     """The damped branch integrals (f1, f2) at one spacetime point."""
-    f1, f2 = dynamics._f_integrals_result(branch, tau, [x], [t], K, Q, epsilon).value[0]
-    return float(f1), float(f2)
+    value = dynamics._f_integrals_result(branch, tau, [x], [t], K, Q, epsilon).value[0]
+    return float(value.real), float(value.imag)
 
 
 def point_density(branch, tau, x, t, k=K, q=Q, epsilon=None):
@@ -33,7 +33,7 @@ def point_density(branch, tau, x, t, k=K, q=Q, epsilon=None):
     eps = q.epsilon if epsilon is None else epsilon
     res = dynamics._f_integrals_result(branch, tau, [x], [t], k, q, eps)
     assert res.converged
-    f1, f2 = res.value[0]
+    f1, f2 = res.value[0].real, res.value[0].imag
     return float(k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2) * (f1**2 + f2**2))
 
 
@@ -366,7 +366,7 @@ class TestDensityBuffers:
             weighted = (np.sqrt(q) * root**-0.5 * np.exp(-eps * q))[:, None, None] * space[:, None, :]
             phase = np.multiply.outer(root, b)[:, :, None]
             expected = np.stack([weighted * np.cos(phase), weighted * np.sin(phase)], axis=-1)
-            assert np.array_equal(out, expected.reshape(out.shape))
+            assert np.array_equal(out, expected.view(complex).reshape(out.shape))
 
 
 def _half_period_width(a, b):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtoa import cli, spectral
 from rtoa.core import ChargeSign, PhysConstants, energy, inner_product_phi, trapezoid_weights
-from rtoa.quadrature import QuadratureConfig
+from rtoa.quadrature import QuadratureConfig, QuadratureConvergenceError
 from rtoa.spectral import (
     EigenSpec,
     Parity,
@@ -542,6 +542,14 @@ class TestOverlap:
         s = EigenSpec(POS, Parity.NONNODAL, 1.0)
         with pytest.raises(ValueError, match="equal eigenvalues"):
             overlap_numeric(s, s, K)
+
+    def test_numeric_raises_when_its_quadrature_stalls(self, monkeypatch):
+        # the engine only flags; overlap_numeric needs convergence and raises
+        monkeypatch.setattr(spectral, "QuadratureConfig", lambda: QuadratureConfig(max_subdivisions=1))
+        with pytest.raises(QuadratureConvergenceError, match="stalled") as exc:
+            overlap_numeric(EigenSpec(POS, Parity.NONNODAL, 1.0), EigenSpec(POS, Parity.NONNODAL, 0.0), K)
+        assert np.isfinite(exc.value.estimate).all()
+        assert exc.value.error > 0.0
 
     def test_nonunit_constants(self):
         k = PhysConstants(hbar=0.7, c=1.3, m0=0.9)
