@@ -13,19 +13,18 @@ With --emit-plot-script and --out, density-grid and toa-dist also write
 a gnuplot script to ``<out>.gp``.
 
 A subcommand reads only the settings whose ``--help`` line names it; a
-setting it does not read is refused, from a flag and from a config file,
-and so is a --format it does not write.  Precedence is CLI flags >
-config file (--config, a flat JSON document) > built-in defaults; the
-settings read, and only those, are echoed to stderr and embedded in
-every emitted file.  Runs are fully deterministic: identical
-invocations produce byte-identical files.
+setting it does not read is refused, from a flag and from a config file.
+Precedence is CLI flags > config file (--config, a flat JSON document) >
+built-in defaults; the settings read, and only those, are echoed to
+stderr and embedded in every emitted file.  Runs are fully
+deterministic: identical invocations produce byte-identical files.
 Exit codes: 0 success; 1 for a ValueError, how every routine refuses an
 input (non-finite numbers included), or an OSError on a file; 2 for a
 failed check or a QuadratureConvergenceError, which only the overlap
 check of verify-spectral raises (a density cell that did not converge is
-flagged in its file instead).  A time that does not
-exist (t_class at p0 = 0, tau_mp when the window does not bracket the
-maximum) is null in JSON and left out of the CSV header.
+flagged in its file instead).  A time that does not exist (t_class and
+tau_mp at p0 = 0, tau_mp when the window does not bracket the maximum)
+is null in JSON and left out of the CSV header.
 """
 
 from __future__ import annotations
@@ -78,12 +77,14 @@ class RunConfig:
 # the speeds c of the non-relativistic limit check, ascending
 _C_LADDER = (10.0, 100.0, 1000.0)
 
-# format None: the subcommand's own, the first of its table row's formats
+# the writers of toa-dist, the choices of --format
+_FORMATS = ("csv", "json")
+
 CONFIG_DEFAULTS = {
     **asdict(PhysConstants()),
     **asdict(QuadratureConfig()),
     "out": None,
-    "format": None,
+    "format": "csv",
     "emit_plot_script": False,
 }
 
@@ -131,8 +132,7 @@ def _build_parser() -> _Parser:
         "--max-subdivisions", type=int, dest="max_subdivisions", help=_read_by("max_subdivisions")
     )
     parser.add_argument("--out", help="output path (default: stdout); " + _read_by("out"))
-    written = "; ".join(f"{name}: {' or '.join(row.formats)}" for name, row in _SUBCOMMANDS.items() if row.formats)
-    parser.add_argument("--format", choices=["csv", "json"], help=f"the format written, default first: {written}")
+    parser.add_argument("--format", choices=_FORMATS, help=_read_by("format"))
     parser.add_argument(
         "--emit-plot-script",
         action="store_const",
@@ -191,7 +191,8 @@ def _finite_number(value) -> bool:
 _CONFIG_TYPES = {
     "max_subdivisions": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     "emit_plot_script": ("true or false", lambda v: isinstance(v, bool)),
-    **dict.fromkeys(("out", "format"), ("a string or null", lambda v: v is None or isinstance(v, str))),
+    "out": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "format": (" or ".join(map(repr, _FORMATS)), lambda v: v in _FORMATS),
 }
 
 
@@ -218,12 +219,7 @@ def _load_config(args) -> RunConfig:
     settings = {key: given.get(key, CONFIG_DEFAULTS[key]) for key in row.settings}
     for key in settings.keys() - _CONFIG_TYPES.keys():
         settings[key] = float(settings[key])
-    if "format" in settings:
-        if settings["format"] is None:
-            settings["format"] = row.formats[0]
-        if settings["format"] not in row.formats:
-            raise ValueError(f"format {settings['format']!r}: {args.command} writes {' or '.join(row.formats)}")
-    if settings.get("emit_plot_script") and not (settings["out"] and settings["format"] == "csv"):
+    if settings.get("emit_plot_script") and (not settings["out"] or settings.get("format") == "json"):
         raise ValueError("--emit-plot-script needs --out and CSV")
     constants = PhysConstants(**{key: settings[key] for key in _CONSTANTS if key in settings})
     quadrature = QuadratureConfig(**{key: settings[key] for key in _QUADRATURE if key in settings})
@@ -287,8 +283,9 @@ def _emit_csv(cfg: RunConfig, meta_lines, columns: dict, plot=None, **plot_field
 
 
 def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    """The one JSON report layout: ``doc`` plus the settings read."""
-    _emit(cfg, json.dumps(_plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True) + "\n")
+    """The one JSON report layout: ``doc`` plus the settings read; a
+    float that is not finite has no JSON spelling and is refused."""
+    _emit(cfg, json.dumps(_plain({**doc, "config": cfg.settings}), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_verify_algebra(cfg: RunConfig, args) -> int:
@@ -619,7 +616,7 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
     tau_range = None if args.tau_min is None else (args.tau_min, args.tau_max)
     dist = toa_distribution(state, tau_range, args.n_tau)
     t_class, t_ph = classical_references(args.p0, args.x0, k)
-    meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": most_probable_tau(dist), "window_integral": dist.integral()}
+    meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": most_probable_tau(dist, args.p0), "window_integral": dist.integral()}
     columns = {
         "tau": dist.tau_samples,
         "pi_total": dist.pi_values,
@@ -649,22 +646,19 @@ def cmd_limits(cfg: RunConfig, args) -> int:
 
 class _Subcommand(NamedTuple):
     run: Callable[[RunConfig, argparse.Namespace], int]
-    formats: tuple[str, ...]  # the formats it writes, its default first; () for text
     settings: tuple[str, ...]  # every setting it reads; any other is refused
 
 
 _CONSTANTS = tuple(f.name for f in fields(PhysConstants))
 _QUADRATURE = tuple(f.name for f in fields(QuadratureConfig))
 _SUBCOMMANDS = {
-    "verify-algebra": _Subcommand(cmd_verify_algebra, (), (*_CONSTANTS, "out")),
-    "verify-spectral": _Subcommand(cmd_verify_spectral, ("json",), (*_CONSTANTS, "format", "out")),
-    "eigenfunction": _Subcommand(cmd_eigenfunction, ("csv",), (*_CONSTANTS, "format", "out")),
-    "density-grid": _Subcommand(
-        cmd_density_grid, ("csv",), (*_CONSTANTS, *_QUADRATURE, "emit_plot_script", "format", "out")
-    ),
-    "toa-dist": _Subcommand(cmd_toa_dist, ("csv", "json"), (*_CONSTANTS, "emit_plot_script", "format", "out")),
+    "verify-algebra": _Subcommand(cmd_verify_algebra, (*_CONSTANTS, "out")),
+    "verify-spectral": _Subcommand(cmd_verify_spectral, (*_CONSTANTS, "out")),
+    "eigenfunction": _Subcommand(cmd_eigenfunction, (*_CONSTANTS, "out")),
+    "density-grid": _Subcommand(cmd_density_grid, (*_CONSTANTS, *_QUADRATURE, "emit_plot_script", "out")),
+    "toa-dist": _Subcommand(cmd_toa_dist, (*_CONSTANTS, "emit_plot_script", "format", "out")),
     # check_nonrel_operator takes each speed from --c-ladder
-    "limits": _Subcommand(cmd_limits, ("json",), ("hbar", "m0", "format", "out")),
+    "limits": _Subcommand(cmd_limits, ("hbar", "m0", "out")),
 }
 
 

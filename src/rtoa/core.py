@@ -27,8 +27,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Positive action, speed and mass scales fixing the unit system; the
-    Compton momentum m0 c and the rest energy m0 c^2 must be finite too."""
+    """Positive action, speed and mass scales fixing the unit system; m0 c,
+    m0 c^2, c^2, m0^2 and hbar^2, which the formulas form and divide by,
+    must be finite normal floats too (none overflows or underflows)."""
 
     hbar: float = 1.0
     c: float = 1.0
@@ -40,11 +41,11 @@ class PhysConstants:
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         try:
-            scales = (self.momentum_scale, self.rest_energy)
+            scales = (self.momentum_scale, self.rest_energy, self.c * self.c, self.m0 * self.m0, self.hbar * self.hbar)
         except OverflowError:  # c**2
             scales = (np.inf,)
-        if not np.all(np.isfinite(scales)):
-            raise ValueError(f"m0 c and m0 c^2 must be finite, got m0 = {self.m0!r} and c = {self.c!r}")
+        if not all(np.finfo(float).tiny <= scale <= np.finfo(float).max for scale in scales):
+            raise ValueError(f"m0 c and m0 c^2 must be finite normal floats, as must c^2, m0^2 and hbar^2; got {self!r}")
 
     @property
     def momentum_scale(self) -> float:

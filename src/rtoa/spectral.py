@@ -102,20 +102,14 @@ def eigenfunction_scalar(
     return out
 
 
-def eigenfunction_momentum(
-    spec: EigenSpec, t: float, p, k: PhysConstants = PhysConstants()
-):
-    """Both components at momentum ``p``: the block of the opposite
-    charge sign is exactly zero."""
-    amp = eigenfunction_scalar(spec, t, p, k)
-    zeros = np.zeros_like(amp)
-    return (amp, zeros) if spec.lam is ChargeSign.POSITIVE else (zeros, amp)
-
-
 def eigenfunction_field(
     spec: EigenSpec, t: float, grid, k: PhysConstants = PhysConstants()
 ) -> SpinorField:
-    upper, lower = eigenfunction_momentum(spec, t, grid, k)
+    """The eigenfunction sampled on ``grid``: the block of the opposite
+    charge sign is exactly zero."""
+    amp = eigenfunction_scalar(spec, t, grid, k)
+    zeros = np.zeros_like(amp)
+    upper, lower = (amp, zeros) if spec.lam is ChargeSign.POSITIVE else (zeros, amp)
     return SpinorField(Representation.FESHBACH_VILLARS_PHI, Basis.MOMENTUM, grid, upper, lower)
 
 

@@ -277,10 +277,14 @@ def classical_references(
     return classical_time(p0, x0, k), photon_time(p0, x0, k)
 
 
-def most_probable_tau(d: ToaDistribution) -> float | None:
+def most_probable_tau(d: ToaDistribution, p0: float | None = None) -> float | None:
     """Location of the distribution maximum, refined by a three-point
     parabolic fit around the maximal sample; None when the maximum sits
-    on an end of the tau window, which then does not bracket it."""
+    on an end of the tau window, which then does not bracket it, and when
+    ``p0``, the mean momentum of ``d``'s Gaussian state, is 0: Pi is then
+    even (psi(-p) = psi(p)*) and only roundoff would pick a mirror peak."""
+    if p0 == 0.0:
+        return None
     if d.tau_samples.size == 1:
         return float(d.tau_samples[0])
     j = int(np.argmax(d.pi_values))

@@ -15,7 +15,7 @@ from rtoa.cli import dispatch
 from rtoa.core import ChargeSign
 from rtoa.dynamics import density_grid
 from rtoa.quadrature import QuadratureConfig
-from rtoa.spectral import EigenSpec, Parity, eigenfunction_momentum
+from rtoa.spectral import EigenSpec, Parity, eigenfunction_field
 from rtoa.toa import gaussian_state, toa_distribution
 
 
@@ -81,7 +81,7 @@ class TestVerifySpectral:
         code, _, _ = run(capsys, *constant, "--out", str(out), "verify-spectral")
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["config"]["format"] == "json"
+        assert "format" not in report["config"]
 
 
 class TestEigenfunctionCsv:
@@ -184,20 +184,24 @@ class TestToaDist:
         assert "config" in payload
         assert len(payload["pi_total"]) == 101
 
-    def test_mirror_state_reports_the_same_times_and_window(self, tmp_path, capsys):
+    # at p0 = 0 the mirror is (0, 7): Pi is even, so neither state has a tau_mp
+    @pytest.mark.parametrize("p0", ["3", "0"])
+    def test_mirror_state_reports_the_same_times_and_window(self, tmp_path, capsys, p0):
         payloads = []
-        for p0, x0 in (("3", "-7"), ("-3", "7")):
-            out = tmp_path / f"dist{p0}.json"
+        for p, x0 in ((p0, "-7"), ("-" + p0, "7")):
+            out = tmp_path / f"dist{p}.json"
             code, _, _ = run(
                 capsys,
                 "--out", str(out), "--format", "json",
-                "toa-dist", "--p0", p0, "--x0", x0, "--n-tau", "101",
+                "toa-dist", "--p0", p, "--x0", x0, "--n-tau", "101",
             )
             assert code == 0
             payloads.append(json.loads(out.read_text()))
         a, b = payloads
         assert b["t_ph"] == a["t_ph"] == 7.0
         assert b["t_class"] == a["t_class"]
+        assert b["tau_mp"] == pytest.approx(a["tau_mp"], rel=1e-14, abs=0.0)
+        assert (a["tau_mp"] is None) == (p0 == "0")
         assert b["grid"] == a["grid"]
         assert np.allclose(b["pi_total"], a["pi_total"], rtol=0.0, atol=1e-8 * max(a["pi_total"]))
 
@@ -237,8 +241,9 @@ class TestToaDist:
     @pytest.mark.parametrize(
         "argv, undefined",
         [
-            (["--p0", "0", "--x0", "-7"], "t_class"),  # a packet at rest has no classical time
-            (["--p0", "3", "--x0", "-7", "--tau-min", "0", "--tau-max", "5"], "tau_mp"),  # peak near 7.4
+            # a packet at rest has no classical time, and its even Pi no one peak
+            (["--p0", "0", "--x0", "-7"], {"t_class", "tau_mp"}),
+            (["--p0", "3", "--x0", "-7", "--tau-min", "0", "--tau-max", "5"], {"tau_mp"}),  # peak near 7.4
         ],
     )
     def test_undefined_time_is_left_out_of_csv_and_null_in_json(self, tmp_path, capsys, argv, undefined):
@@ -250,8 +255,8 @@ class TestToaDist:
             texts[fmt] = out.read_text()
         fields = csv_header(texts["csv"])
         payload = json.loads(texts["json"])
-        assert undefined not in fields and payload[undefined] is None
-        assert {"t_ph", "t_class", "tau_mp"} - {undefined} <= set(fields)
+        assert not undefined & set(fields) and all(payload[name] is None for name in undefined)
+        assert {"t_ph", "t_class", "tau_mp"} - undefined <= set(fields)
 
 
 class TestLimits:
@@ -265,7 +270,7 @@ class TestLimits:
         assert payload["tm11_equals_minus_m0"] is True
         devs = payload["eigenfunction_deviation"]
         assert devs[0] > devs[1] > devs[2]
-        assert payload["config"]["format"] == "json"
+        assert "format" not in payload["config"]
 
 
 class TestConfigHandling:
@@ -391,7 +396,8 @@ class TestWriters:
         table = csv_table(out.read_text())
         spec = EigenSpec(ChargeSign.NEGATIVE, Parity.NONNODAL, 1.0)
         grid = np.linspace(-3.0, 3.0, 41)
-        upper, lower = eigenfunction_momentum(spec, 0.3, grid)
+        f = eigenfunction_field(spec, 0.3, grid)
+        upper, lower = f.upper, f.lower
         library = {
             "p": grid,
             "re_upper": upper.real,
@@ -584,6 +590,7 @@ class TestRefusedFlags:
             ([], DENSITY_ARGV),
             (0.3, DENSITY_ARGV),
             ({"c": 2.0}, ["limits"]),
+            ({"format": None}, TOA_ARGV),  # null is not a format
         ],
     )
     def test_config_file_values_refused_the_same_way(self, tmp_path, capsys, doc, argv):
@@ -595,18 +602,34 @@ class TestRefusedFlags:
         assert "rtoa: error:" in err
         assert not out.exists() and not (tmp_path / "data.gp").exists()
 
+    # only toa-dist writes more than one format, so only it reads --format
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv", [["verify-spectral"], EIG_ARGV, DENSITY_ARGV, ["limits"]], ids=lambda argv: argv[0]
+    )
+    def test_format_refused_where_it_is_not_read(self, tmp_path, capsys, source, fmt, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        out = tmp_path / "data"
+        flags = ["--format", fmt] if source == "flag" else ["--config", str(cfg)]
+        code, stdout, err = run(capsys, *flags, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith(f"rtoa: error: {argv[0]} does not read format;")
+        assert stdout == "" and not out.exists()
+
 
 _CONSTANTS = {"hbar", "c", "m0"}
 SETTINGS_READ = {
     "verify-algebra": (["verify-algebra"], {*_CONSTANTS, "out"}),
-    "verify-spectral": (["verify-spectral"], {*_CONSTANTS, "format", "out"}),
-    "eigenfunction": (EIG_ARGV, {*_CONSTANTS, "format", "out"}),
+    "verify-spectral": (["verify-spectral"], {*_CONSTANTS, "out"}),
+    "eigenfunction": (EIG_ARGV, {*_CONSTANTS, "out"}),
     "density-grid": (
         DENSITY_ARGV,
-        {*_CONSTANTS, "epsilon", "abs_tol", "rel_tol", "max_subdivisions", "emit_plot_script", "format", "out"},
+        {*_CONSTANTS, "epsilon", "abs_tol", "rel_tol", "max_subdivisions", "emit_plot_script", "out"},
     ),
     "toa-dist": (TOA_ARGV, {*_CONSTANTS, "emit_plot_script", "format", "out"}),
-    "limits": (["limits"], {"hbar", "m0", "format", "out"}),
+    "limits": (["limits"], {"hbar", "m0", "out"}),
 }
 
 
@@ -639,7 +662,7 @@ class TestSettingsTable:
 
     def test_every_setting_is_read_somewhere(self):
         assert set(cli.CONFIG_DEFAULTS) == set().union(*(read for _, read in SETTINGS_READ.values()))
-        assert sum(len(read) for _, read in SETTINGS_READ.values()) == 34
+        assert sum(len(read) for _, read in SETTINGS_READ.values()) == 30
 
     def test_file_and_flag_spellings_write_identical_files(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -816,6 +839,14 @@ class TestExitCodes:
             # |i hbar f|^2 underflows, so the residual has no reference norm
             ["--hbar", "1e-200", "verify-spectral"],
             ["limits", "--c-ladder", "1e200", "1e201"],
+            # c^2, m0^2 or hbar^2 overflows, or underflows to a subnormal or 0
+            *([*constant, *DENSITY_ARGV] for constant in (
+                ["--hbar", "1e-200"], ["--hbar", "1e-170"], ["--m0", "1e200"], ["--hbar", "1e200"],
+                ["--m0", "1e-320"], ["--c", "1e-200"],
+            )),
+            ["--c", "1e-200", "verify-spectral"],
+            ["limits", "--c-ladder", "1e-300", "1"],
+            ["--c", "1e-200", "eigenfunction", "--tau", "1", "--n", "3"],
         ],
     )
     def test_refused_without_a_traceback(self, tmp_path, capsys, argv):
@@ -825,6 +856,15 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith("rtoa: error:")
         assert "Traceback" not in err
         assert stdout == "" and not out.exists()
+
+    def test_non_finite_json_value_refused(self, tmp_path, capsys, monkeypatch):
+        # JSON has no spelling for an infinity or a nan
+        monkeypatch.setattr(cli, "check_nonrel_operator", lambda k, ladder: {"deviation_ratios": [math.inf]})
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "--out", str(out), "limits")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("rtoa: error: Out of range float values")
+        assert stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_convergence_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a budget of one panel stalls criterion 5's overlap quadrature

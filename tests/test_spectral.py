@@ -21,7 +21,6 @@ from rtoa.spectral import (
     differentiate,
     eigen_amplitude_modulus,
     eigenfunction_field,
-    eigenfunction_momentum,
     eigenfunction_scalar,
     even_toa_coefficients,
     fornberg_weights,
@@ -41,24 +40,23 @@ NEG = ChargeSign.NEGATIVE
 class TestEigenfunctions:
     def test_vanishes_at_zero_momentum(self):
         for parity in Parity:
-            up, lo = eigenfunction_momentum(EigenSpec(POS, parity, 1.3), 0.7, 0.0, K)
-            assert up == 0.0 and lo == 0.0
+            f = eigenfunction_field(EigenSpec(POS, parity, 1.3), 0.7, [0.0, 1.0], K)
+            assert f.upper[0] == 0.0 and f.lower[0] == 0.0
 
     def test_frozen_value_at_unit_momentum(self):
         # 30-digit evaluation of sqrt(1/4pi) * 2^(-1/4)
         expect = 0.23721249916439717268
-        up, lo = eigenfunction_momentum(
-            EigenSpec(POS, Parity.NONNODAL, 0.8), 0.8, 1.0, K
-        )
+        f = eigenfunction_field(EigenSpec(POS, Parity.NONNODAL, 0.8), 0.8, [1.0, 2.0], K)
+        up, lo = f.upper[0], f.lower[0]
         assert up == pytest.approx(expect, abs=1e-15)
         assert up.imag == 0.0
         assert lo == 0.0
 
     def test_charge_block_is_exactly_zero(self):
         grid = np.linspace(-3, 3, 101)
-        up, lo = eigenfunction_momentum(EigenSpec(NEG, Parity.NONNODAL, 0.5), 0.0, grid, K)
-        assert np.all(up == 0.0)
-        assert np.any(lo != 0.0)
+        f = eigenfunction_field(EigenSpec(NEG, Parity.NONNODAL, 0.5), 0.0, grid, K)
+        assert np.all(f.upper == 0.0)
+        assert np.any(f.lower != 0.0)
 
     def test_nodal_branch_is_odd(self):
         grid = np.linspace(0.1, 4.0, 50)
