@@ -19,7 +19,8 @@ built-in defaults; the settings read, and only those, are echoed to
 stderr and embedded in every emitted file.  Runs are fully
 deterministic: identical invocations produce byte-identical files.
 Exit codes: 0 success; 1 for a ValueError, how every routine refuses an
-input (non-finite numbers included), or an OSError on a file; 2 for a
+input (non-finite numbers included), an OSError on a file, or a
+MemoryError (a sample count too large to allocate); 2 for a
 failed check or a QuadratureConvergenceError, which only the overlap
 check of verify-spectral raises (a density cell that did not converge is
 flagged in its file instead).  A time that does not exist (t_class and
@@ -61,6 +62,7 @@ from .spectral import (
 from .toa import (
     DEFAULT_N_TAU,
     classical_references,
+    default_tau_range,
     gaussian_state,
     most_probable_tau,
     photon_time,  # not called here; perfbench/tracing.py wraps this name
@@ -613,8 +615,8 @@ def cmd_toa_dist(cfg: RunConfig, args) -> int:
     state = gaussian_state(args.p0, args.x0, k)
     if (args.tau_min is None) != (args.tau_max is None):
         raise ValueError("give both --tau-min and --tau-max or neither")
-    tau_range = None if args.tau_min is None else (args.tau_min, args.tau_max)
-    dist = toa_distribution(state, tau_range, args.n_tau)
+    tau_range = default_tau_range(args.p0, args.x0, k) if args.tau_min is None else (args.tau_min, args.tau_max)
+    dist = toa_distribution(state.field(), tau_range, args.n_tau, k)
     t_class, t_ph = classical_references(args.p0, args.x0, k)
     meta = {"t_ph": t_ph, "t_class": t_class, "tau_mp": most_probable_tau(dist, args.p0), "window_integral": dist.integral()}
     columns = {
@@ -672,7 +674,7 @@ def dispatch(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"rtoa: numerical convergence failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"rtoa: error: {exc}", file=sys.stderr)
         return 1
 

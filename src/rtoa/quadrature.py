@@ -254,16 +254,20 @@ def adaptive_quadrature(
     still over its tolerance asks for it, and a member's total is fixed
     once that member converges.  A member still over its tolerance when
     the next refinement would pass ``max_subdivisions`` panels is flagged
-    in ``member_converged``; this never raises.
+    in ``member_converged``; this never raises.  A first pass of more
+    panels than can be allocated is refused with a ValueError.
     """
     if not b > a:
         raise ValueError("need b > a")
     # a width that underflows next to b - a, or is zero, gives an infinite count
     with np.errstate(over="ignore", divide="ignore"):
         count = 1.0 if max_width is None or b - a <= max_width else np.float64(b - a) / max_width
-    if not math.isfinite(count):
-        raise ValueError(f"panels of width {max_width:g} over [{a:g}, {b:g}] are too many to count")
-    cuts = np.linspace(a, b, int(np.ceil(count)) + 1)
+    try:  # an infinite count, one beyond numpy's index range, or one with no memory for it
+        cuts = np.linspace(a, b, int(np.ceil(count)) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(
+            f"{count:.3g} panels of width {max_width:g} over [{a:g}, {b:g}] are too many to count"
+        ) from None
     panels = np.stack([cuts[:-1], cuts[1:]], axis=1)
 
     value, error = np.zeros(members, dtype=complex), np.zeros(members)

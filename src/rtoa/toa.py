@@ -10,7 +10,10 @@ density
 
 split per parity branch; no renormalization over tau is applied.
 Overlaps across charge blocks vanish identically, so a charged particle
-never collapses onto the opposite charge sign.
+never collapses onto the opposite charge sign.  The distribution takes a
+sampled state on one charge block, its tau window and its constants; a
+Gaussian state gives the first as ``field()`` and the second as
+:func:`default_tau_range` of its p0 and x0.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .core import (
     momentum_grid,
     trapezoid_weights,
 )
-from .spectral import Parity, amplitude_sums, eigen_amplitude_modulus
+from .spectral import amplitude_sums, eigen_amplitude_modulus
 
 EDGE_DECAY_TOL = 1e-12
 DEFAULT_GRID_POINTS = 4097
@@ -57,13 +60,6 @@ class GaussianState:
         norm = 1.0 / math.sqrt(mc * math.sqrt(math.pi / 2.0))
         return norm * np.exp(
             -((p - self.p0) ** 2) / mc**2 - 1j * self.x0 * p / self.k.hbar
-        )
-
-    def amplitude_derivative(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        mc = self.k.momentum_scale
-        return self.amplitude(p) * (
-            -2.0 * (p - self.p0) / mc**2 - 1j * self.x0 / self.k.hbar
         )
 
     def default_grid(self) -> np.ndarray:
@@ -98,7 +94,8 @@ class GaussianState:
         grid = self.default_grid() if grid is None else np.asarray(grid, dtype=float)
         w = trapezoid_weights(grid)
         amp = self.amplitude(grid)
-        damp = self.amplitude_derivative(grid)
+        mc = self.k.momentum_scale
+        damp = amp * (-2.0 * (grid - self.p0) / mc**2 - 1j * self.x0 / self.k.hbar)
         prob = np.abs(amp) ** 2
         norm = float(np.sum(w * prob))
         mean_p = float(np.sum(w * grid * prob)) / norm
@@ -189,39 +186,19 @@ class ToaDistribution:
 
 
 def toa_distribution(
-    state: GaussianState | SpinorField,
-    tau_range: tuple[float, float] | None = None,
-    n_tau: int = DEFAULT_N_TAU,
-    k: PhysConstants | None = None,
+    state: SpinorField,
+    tau_range: tuple[float, float],
+    n_tau: int,
+    k: PhysConstants,
 ) -> ToaDistribution:
-    """Evaluate both branch overlaps on a tau grid.
-
-    With ``tau_range`` None and a Gaussian state, the window spans
-    [t_ph - 5, t_class + 5 (t_class - t_ph) + 10] for p0 > 0 (mirrored
-    for p0 < 0) and a symmetric window for p0 ~ 0, which covers the
-    peak, the photon wall and the slow tail.  A Gaussian state carries
-    its own constants, so a different ``k`` is refused; a sampled state
-    needs ``k`` and must occupy one charge block.
-    """
+    """Evaluate both branch overlaps of ``state``, which must occupy one
+    charge block, on ``n_tau`` equally spaced times spanning
+    ``tau_range``, with the constants ``k`` of its momentum grid."""
     if n_tau < 2:
         raise ValueError("need n_tau >= 2")
-    if isinstance(state, GaussianState):
-        if k is not None and k != state.k:
-            raise ValueError("constants k differ from the Gaussian state's own")
-        kk = state.k
-        field = state.field()
-        if tau_range is None:
-            tau_range = default_tau_range(state.p0, state.x0, kk)
-    else:
-        if k is None:
-            raise ValueError("sampled states need explicit constants")
-        if np.any(state.upper) and np.any(state.lower):
-            raise ValueError("sampled state occupies both charge blocks; pass one block at a time")
-        if tau_range is None:
-            raise ValueError("tau_range is required for sampled states")
-        kk = k
-        field = state
-    lam = ChargeSign.POSITIVE if np.any(field.upper) else ChargeSign.NEGATIVE
+    if np.any(state.upper) and np.any(state.lower):
+        raise ValueError("sampled state occupies both charge blocks; pass one block at a time")
+    lam = ChargeSign.POSITIVE if np.any(state.upper) else ChargeSign.NEGATIVE
     lo, hi = tau_range
     if not lo < hi:
         raise ValueError(f"tau window must increase: got tau_range ({lo:g}, {hi:g})")
@@ -229,7 +206,7 @@ def toa_distribution(
         raise ValueError("tau window width must be finite")
     taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below
 
-    amplitudes = _branch_amplitudes(field, lam, lo, (hi - lo) / (n_tau - 1), n_tau, kk)
+    amplitudes = _branch_amplitudes(state, lam, lo, (hi - lo) / (n_tau - 1), n_tau, k)
     nonnodal, nodal = (np.abs(a) ** 2 for a in amplitudes)
     return ToaDistribution(taus, nonnodal + nodal, nonnodal, nodal)
 
@@ -237,6 +214,10 @@ def toa_distribution(
 def default_tau_range(
     p0: float, x0: float, k: PhysConstants = PhysConstants()
 ) -> tuple[float, float]:
+    """The tau window of a Gaussian state of mean momentum p0 and mean
+    position x0: [t_ph - 5, t_class + 5 (t_class - t_ph) + 10] for
+    p0 > 0 (mirrored for p0 < 0), which covers the peak, the photon wall
+    and the slow tail, and a symmetric window for |p0| < m0 c / 4."""
     t_ph = photon_time(p0, x0, k)
     if abs(p0) < 0.25 * k.momentum_scale:
         span = 10.0 * max(abs(t_ph), 1.0) + 10.0

@@ -17,7 +17,9 @@ from rtoa.dynamics import density_grid
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import Parity
 from rtoa.toa import (
+    DEFAULT_N_TAU,
     classical_references,
+    default_tau_range,
     gaussian_state,
     most_probable_tau,
     toa_distribution,
@@ -195,7 +197,7 @@ def test_criterion_8_distributions():
     start = time.monotonic()
     results = {}
     for p0 in (2.0, 3.0, 4.0, 5.0):
-        dist = toa_distribution(gaussian_state(p0, -7.0, K))
+        dist = toa_distribution(gaussian_state(p0, -7.0, K).field(), default_tau_range(p0, -7.0, K), DEFAULT_N_TAU, K)
         t_class, t_ph = classical_references(p0, -7.0, K)
         results[p0] = {
             "tau_mp": most_probable_tau(dist),
@@ -215,7 +217,7 @@ def test_criterion_8_distributions():
         results[a]["tau_mp"] > results[b]["tau_mp"]
         for a, b in zip((2.0, 3.0, 4.0), (3.0, 4.0, 5.0))
     )
-    slow = toa_distribution(gaussian_state(0.1, -7.0, K))
+    slow = toa_distribution(gaussian_state(0.1, -7.0, K).field(), default_tau_range(0.1, -7.0, K), DEFAULT_N_TAU, K)
     broad_ok = _iqr(slow) >= 3.0 * results[3.0]["iqr"]
     elapsed = time.monotonic() - start
     ok = (

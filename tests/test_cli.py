@@ -12,11 +12,11 @@ import pytest
 
 from rtoa import cli, dynamics, spectral
 from rtoa.cli import dispatch
-from rtoa.core import ChargeSign
+from rtoa.core import ChargeSign, PhysConstants
 from rtoa.dynamics import density_grid
 from rtoa.quadrature import QuadratureConfig
 from rtoa.spectral import EigenSpec, Parity, eigenfunction_field
-from rtoa.toa import gaussian_state, toa_distribution
+from rtoa.toa import default_tau_range, gaussian_state, toa_distribution
 
 
 def run(capsys, *argv):
@@ -183,6 +183,26 @@ class TestToaDist:
         assert payload["grid"]["n_tau"] == 101
         assert "config" in payload
         assert len(payload["pi_total"]) == 101
+
+    def test_default_window_and_columns_are_the_library_call(self, tmp_path, capsys):
+        # without --tau-min and --tau-max the window is default_tau_range
+        # of p0, x0 and the run's constants
+        out = tmp_path / "dist.json"
+        code, _, _ = run(capsys, "--out", str(out), "--m0", "2", "--format", "json", "toa-dist", "--p0", "3", "--x0", "-7")
+        assert code == 0
+        payload = json.loads(out.read_text())
+        k = PhysConstants(m0=2.0)
+        window = default_tau_range(3.0, -7.0, k)
+        assert payload["grid"] == {"tau_min": window[0], "tau_max": window[1], "n_tau": 2001}
+        dist = toa_distribution(gaussian_state(3.0, -7.0, k).field(), window, 2001, k)
+        library = {
+            "tau": dist.tau_samples,
+            "pi_total": dist.pi_values,
+            "pi_nonnodal": dist.pi_nonnodal,
+            "pi_nodal": dist.pi_nodal,
+        }
+        for name, values in library.items():
+            assert np.array(payload[name]).tobytes() == values.tobytes()
 
     # at p0 = 0 the mirror is (0, 7): Pi is even, so neither state has a tau_mp
     @pytest.mark.parametrize("p0", ["3", "0"])
@@ -373,7 +393,9 @@ class TestWriters:
         json_header = {**payload["state"], **{name: payload[name] for name in list(header)[2:]}}
         assert header == {name: repr(value) for name, value in json_header.items()}
         assert list(header) == ["p0", "x0", "t_ph", "t_class", "tau_mp", "window_integral"]
-        dist = toa_distribution(gaussian_state(2.0, float(x0)), None, 151)
+        k = PhysConstants()
+        window = default_tau_range(2.0, float(x0), k)
+        dist = toa_distribution(gaussian_state(2.0, float(x0), k).field(), window, 151, k)
         library = {
             "tau": dist.tau_samples,
             "pi_total": dist.pi_values,
@@ -847,6 +869,13 @@ class TestExitCodes:
             ["--c", "1e-200", "verify-spectral"],
             ["limits", "--c-ladder", "1e-300", "1"],
             ["--c", "1e-200", "eigenfunction", "--tau", "1", "--n", "3"],
+            # 10^17 samples or panels, above 2^57 bytes: no memory for them
+            # whatever the host's overcommit policy
+            [*TOA_ARGV, "--n-tau", "100000000000000000"],
+            [*EIG_ARGV, "--n", "100000000000000000"],
+            [*DENSITY_ARGV, "--nx", "100000000000000000"],
+            ["--hbar", "1e-16", *DENSITY_ARGV],  # 2.7e17 first-pass panels
+            ["--hbar", "1e-150", *DENSITY_ARGV],  # beyond numpy's index range
         ],
     )
     def test_refused_without_a_traceback(self, tmp_path, capsys, argv):

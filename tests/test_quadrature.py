@@ -2,6 +2,7 @@
 error estimate, and the panels each benchmarked engine call takes."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -76,12 +77,21 @@ class TestAdaptive:
         assert not res.converged
         assert np.isfinite(res.value).all() and res.error[0] > 0.0
 
-    @pytest.mark.parametrize("max_width", [3e-308, 0.0])
-    def test_infinite_first_pass_panel_count_refused(self, max_width):
-        # a finite interval whose ratio to the panel width overflows
+    @pytest.mark.parametrize(
+        "max_width, count",
+        [
+            # a finite interval whose ratio to the panel width overflows
+            (3e-308, "inf"),
+            (0.0, "inf"),
+            # 10^17 panels need more than 2^57 bytes; 10^102 are beyond numpy's index range
+            (1e-15, "1e+17"),
+            (1e-100, "1e+102"),
+        ],
+    )
+    def test_first_pass_panel_count_that_cannot_be_built_refused(self, max_width, count):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused without a numpy warning
-            with pytest.raises(ValueError, match="too many to count"):
+            with pytest.raises(ValueError, match=re.escape(f"{count} panels of width {max_width:g}")):
                 adaptive_quadrature(np.cos, 0.0, 100.0, max_width=max_width)
 
     def test_read_only_output(self):

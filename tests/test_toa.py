@@ -144,7 +144,7 @@ class TestReferences:
 
 class TestDistribution:
     def test_nonnegative_and_split(self):
-        d = toa_distribution(gaussian_state(3.0, -7.0, K), n_tau=301)
+        d = toa_distribution(gaussian_state(3.0, -7.0, K).field(), default_tau_range(3.0, -7.0, K), 301, K)
         assert np.all(d.pi_values >= 0.0)
         assert d.pi_values == pytest.approx(d.pi_nonnodal + d.pi_nodal)
 
@@ -166,23 +166,23 @@ class TestDistribution:
     def test_window_too_wide_for_finite_phases_refused(self, window):
         # the first width overflows; the second is finite, but its phases are not
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-            toa_distribution(gaussian_state(3.0, -7.0, K), window, 11)
+            toa_distribution(gaussian_state(3.0, -7.0, K).field(), window, 11, K)
 
     @pytest.mark.parametrize("window", [(10.0, 5.0), (5.0, 5.0), (math.nan, 5.0)])
     def test_window_that_does_not_increase_refused(self, window):
         with pytest.raises(ValueError, match="tau window must increase"):
-            toa_distribution(gaussian_state(3.0, -7.0, K), window, 11)
+            toa_distribution(gaussian_state(3.0, -7.0, K).field(), window, 11, K)
 
     def test_most_probable_above_photon_time(self):
-        d = toa_distribution(gaussian_state(3.0, -7.0, K), n_tau=801)
+        d = toa_distribution(gaussian_state(3.0, -7.0, K).field(), default_tau_range(3.0, -7.0, K), 801, K)
         assert most_probable_tau(d) > photon_time(3.0, -7.0, K)
 
     def test_symmetric_state_symmetric_distribution(self):
-        d = toa_distribution(gaussian_state(0.0, 0.0, K), (-8.0, 8.0), 321)
+        d = toa_distribution(gaussian_state(0.0, 0.0, K).field(), (-8.0, 8.0), 321, K)
         assert np.allclose(d.pi_values, d.pi_values[::-1], rtol=1e-6, atol=1e-10)
 
     def test_boundary_maximum_flagged(self):
-        d = toa_distribution(gaussian_state(3.0, -7.0, K), (0.0, 5.0), 101)
+        d = toa_distribution(gaussian_state(3.0, -7.0, K).field(), (0.0, 5.0), 101, K)
         assert most_probable_tau(d) is None  # peak sits near 7.4, outside the window
 
     def test_single_sample(self):
@@ -199,12 +199,6 @@ class TestDistribution:
         mixed = phi_field(field.grid, field.upper, field.upper)
         with pytest.raises(ValueError, match="both charge blocks"):
             toa_distribution(mixed, (5.0, 10.0), 201, K)
-
-    def test_gaussian_state_with_other_constants_refused(self):
-        state = gaussian_state(3.0, -7.0, K)
-        toa_distribution(state, (5.0, 10.0), 21, K)  # the state's own constants are fine
-        with pytest.raises(ValueError, match="constants"):
-            toa_distribution(state, (5.0, 10.0), 21, PhysConstants(c=2.0))
 
     def test_default_range_covers_peak(self):
         lo, hi = default_tau_range(3.0, -7.0, K)
@@ -258,7 +252,7 @@ class TestDistributionSymmetries:
         # each on its own default grid: mirror images for p0 != 0; at
         # p0 = 0 an odd point count cannot be mirror-symmetric, so the
         # sqrt(|p|) cusp is sampled differently
-        da, db = toa_distribution(a, n_tau=201), toa_distribution(b, n_tau=201)
+        da, db = toa_distribution(a.field(), window, 201, K), toa_distribution(b.field(), window, 201, K)
         assert np.array_equal(da.tau_samples, db.tau_samples)
         assert _close(db.pi_values, da.pi_values, 1e-12 if p0 != 0.0 else 1e-8)
 
@@ -354,9 +348,9 @@ class TestCovariance:
     def test_pi_scales_with_the_natural_time_unit(self, k, p0, x0):
         unit = k.hbar / k.rest_energy
         lo, hi = default_tau_range(p0, x0, K)
-        d1 = toa_distribution(GaussianState(p0, x0, K), (lo, hi), 401)
+        d1 = toa_distribution(GaussianState(p0, x0, K).field(), (lo, hi), 401, K)
         state = GaussianState(p0 * k.momentum_scale, x0 * k.hbar / k.momentum_scale, k)
-        dk = toa_distribution(state, (lo * unit, hi * unit), 401)
+        dk = toa_distribution(state.field(), (lo * unit, hi * unit), 401, k)
         assert _close(dk.pi_values * unit, d1.pi_values, 1e-13)
 
 

@@ -69,7 +69,8 @@ def test_toa_distribution_looks_up_energy_in_its_own_module(monkeypatch):
     # the tracer's core.energy span on the arrival-times workload wraps this name
     calls, energy = [], toa.energy
     monkeypatch.setattr(toa, "energy", lambda *args: calls.append(args) or energy(*args))
-    toa.toa_distribution(toa.gaussian_state(3.0, -7.0), (5.0, 10.0), 11)
+    k = core.PhysConstants()
+    toa.toa_distribution(toa.gaussian_state(3.0, -7.0, k).field(), (5.0, 10.0), 11, k)
     assert len(calls) == 1
 
 
