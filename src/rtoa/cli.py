@@ -19,7 +19,9 @@ built-in defaults; the settings read, and only those, are echoed to
 stderr and embedded in every emitted file.  Runs are fully
 deterministic: identical invocations produce byte-identical files.
 Exit codes: 0 success; 1 for a ValueError, how every routine refuses an
-input (non-finite numbers included), an OSError on a file, or a
+input (non-finite numbers, an axis whose range and count give no strictly
+increasing samples, and a density scale m0^2 c^3 / (2 pi^2 hbar^2) that
+is not a finite normal float included), an OSError on a file, or a
 MemoryError (a sample count too large to allocate); 2 for a
 failed check or a QuadratureConvergenceError, which only the overlap
 check of verify-spectral raises (a density cell that did not converge is
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import algebra
-from .core import ChargeSign, PhysConstants, Representation, Basis, SpinorField, inner_product_phi
+from .core import ChargeSign, PhysConstants, Representation, Basis, SpinorField, inner_product_phi, uniform_axis
 from .dynamics import density_grid
 from .quadrature import QuadratureConfig, QuadratureConvergenceError
 from .spectral import (
@@ -544,13 +546,7 @@ def cmd_verify_spectral(cfg: RunConfig, args) -> int:
 def cmd_eigenfunction(cfg: RunConfig, args) -> int:
     k = cfg.constants
     spec = EigenSpec(ChargeSign(args.lam), Parity(args.branch), args.tau)
-    if not args.pmin < args.pmax:
-        raise ValueError("need pmin < pmax")
-    if args.n < 2:
-        raise ValueError("need n >= 2")
-    if not math.isfinite(args.pmax - args.pmin):
-        raise ValueError("momentum range width pmax - pmin must be finite")
-    f = eigenfunction_field(spec, args.time, np.linspace(args.pmin, args.pmax, args.n), k)
+    f = eigenfunction_field(spec, args.time, uniform_axis(args.pmin, args.pmax, args.n, "momentum range"), k)
     columns = {
         "p": f.grid,
         "re_upper": f.upper.real,
@@ -574,8 +570,6 @@ splot '{csv}' using 1:2:3 with pm3d notitle
 
 def cmd_density_grid(cfg: RunConfig, args) -> int:
     k = cfg.constants
-    if not args.xmin < args.xmax or not args.tmin < args.tmax:
-        raise ValueError("need xmin < xmax and tmin < tmax")
     grid = density_grid(
         Parity(args.branch),
         args.tau,

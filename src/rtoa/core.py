@@ -157,16 +157,23 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def uniform_axis(lo: float, hi: float, n: int, what: str) -> np.ndarray:
+    """np.linspace(lo, hi, n), refused unless n >= 2, lo < hi, the width
+    hi - lo is finite (taken in Python floats, so numpy never warns) and
+    no two samples round onto each other."""
+    if n >= 2 and lo < hi and np.isfinite(float(hi) - float(lo)):
+        axis = np.linspace(lo, hi, n)
+        if np.all(np.diff(axis) > 0.0):
+            return axis
+    raise ValueError(f"{what} [{lo:g}, {hi:g}] of {n} samples: need n >= 2, lo < hi, a finite width, increasing samples")
+
+
 def momentum_grid(p_min: float, p_max: float, n: int) -> np.ndarray:
     """Uniform grid on [p_min, p_max], shifted by half a step whenever a
     node would land exactly on p = 0, so the sqrt(|p|) cusp is always
     straddled by a symmetric pair.
     """
-    if n < 2:
-        raise ValueError("need at least two grid points")
-    if not p_min < p_max:
-        raise ValueError("p_min must be below p_max")
-    grid = np.linspace(p_min, p_max, n)
+    grid = uniform_axis(p_min, p_max, n, "momentum grid")
     if p_min < 0.0 < p_max:
         h = grid[1] - grid[0]
         if np.min(np.abs(grid)) < 1e-12 * h:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysConstants
+from .core import PhysConstants, uniform_axis
 from .quadrature import (
     QuadratureConfig,
     extrapolate_to_zero,
@@ -117,15 +117,23 @@ def _f_integrals_result(
         np.matmul(turn[:, :, None], weighted[:, None, :].astype(complex), out=cells)
         return cells
 
-    return integrate_sqrt_endpoint(
-        integrand,
-        q.cutoff(eps),
-        max_width=_panel_width(np.abs(a).max(), np.abs(b).max()),
-        abs_tol=q.abs_tol,
-        rel_tol=q.rel_tol,
-        max_subdivisions=q.max_subdivisions,
-        members=a.size * b.size,
-    )
+    a_max, b_max = float(np.abs(a).max()), float(np.abs(b).max())
+    cutoff = q.cutoff(eps)
+    try:
+        return integrate_sqrt_endpoint(
+            integrand,
+            cutoff,
+            max_width=_panel_width(a_max, b_max),
+            abs_tol=q.abs_tol,
+            rel_tol=q.rel_tol,
+            max_subdivisions=q.max_subdivisions,
+            members=a.size * b.size,
+        )
+    except ValueError as exc:  # a first pass of too many panels
+        raise ValueError(
+            f"density mesh with |x| <= {np.abs(xs).max():g} and |t - tau| <= {np.abs(np.subtract(ts, tau)).max():g} "
+            f"at {k!r}: its |a| + |b| = {a_max + b_max:g} gives panels of width 7 pi / (4 (|a| + |b|)); {exc}"
+        ) from None
 
 
 # Mesh cells integrated together in one call: enough that the per-node
@@ -197,14 +205,15 @@ def density_grid(
     ``flagged`` with its mirrors.  Everything runs on the calling thread
     in a fixed order, so output is deterministic.
     """
-    if nx < 2 or nt < 2:
-        raise ValueError("need nx, nt >= 2")
-    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (x_range, t_range)):
-        raise ValueError("x and t range widths must be finite")
-    xs = np.linspace(x_range[0], x_range[1], nx)
-    ts = np.linspace(t_range[0], t_range[1], nt)
+    xs, ts = uniform_axis(*x_range, nx, "x range"), uniform_axis(*t_range, nt, "t range")
     epsilons = q.epsilon_ladder if extrapolate else (q.epsilon,)
-    pref = k.m0**2 * k.c**3 / (2.0 * math.pi**2 * k.hbar**2)
+    try:
+        scale = k.m0**2 * k.c**3
+    except OverflowError:  # c**3
+        scale = math.inf
+    pref = scale / (2.0 * math.pi**2 * k.hbar**2)
+    if not all(np.finfo(float).tiny <= v <= np.finfo(float).max for v in (scale, pref)):
+        raise ValueError(f"density scale m0^2 c^3 / (2 pi^2 hbar^2) and its m0^2 c^3 must be finite normal floats; got {k!r}")
     x_kept, x_expand = _fold(xs)
     t_kept, t_expand = _fold(ts - tau)
     xs_kept, ts_kept = xs[x_kept], ts[t_kept]

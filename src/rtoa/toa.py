@@ -33,6 +33,7 @@ from .core import (
     kinetic_energy,
     momentum_grid,
     trapezoid_weights,
+    uniform_axis,
 )
 from .spectral import amplitude_sums, eigen_amplitude_modulus
 
@@ -68,16 +69,13 @@ class GaussianState:
         step if p = 0 would land exactly on a node.  For p0 < 0 it is the
         mirror image of the p0 > 0 partner's grid, so a packet and its
         mirror (p0, x0) -> (-p0, -x0) sample the sqrt(|p|) cusp alike.  A
-        p0 so large that the grid's samples are not strictly increasing
-        is refused."""
+        p0 so large that its grid's samples repeat is refused by name."""
         half = DEFAULT_HALF_WIDTH_SIGMAS * 0.5 * self.k.momentum_scale
         p = abs(self.p0)
-        if not np.all(np.diff(np.linspace(p - half, p + half, DEFAULT_GRID_POINTS)) > 0.0):
-            raise ValueError(
-                f"p0 = {self.p0:g} is too large for a momentum grid of half-width {half:g}: "
-                "its samples are not strictly increasing"
-            )
-        grid = momentum_grid(p - half, p + half, DEFAULT_GRID_POINTS)
+        try:
+            grid = momentum_grid(p - half, p + half, DEFAULT_GRID_POINTS)
+        except ValueError as exc:
+            raise ValueError(f"p0 = {self.p0:g} is too large for a momentum grid of half-width {half:g}: {exc}") from None
         return -grid[::-1] if self.p0 < 0.0 else grid
 
     def field(self, grid=None) -> SpinorField:
@@ -194,18 +192,11 @@ def toa_distribution(
     """Evaluate both branch overlaps of ``state``, which must occupy one
     charge block, on ``n_tau`` equally spaced times spanning
     ``tau_range``, with the constants ``k`` of its momentum grid."""
-    if n_tau < 2:
-        raise ValueError("need n_tau >= 2")
     if np.any(state.upper) and np.any(state.lower):
         raise ValueError("sampled state occupies both charge blocks; pass one block at a time")
     lam = ChargeSign.POSITIVE if np.any(state.upper) else ChargeSign.NEGATIVE
     lo, hi = tau_range
-    if not lo < hi:
-        raise ValueError(f"tau window must increase: got tau_range ({lo:g}, {hi:g})")
-    if not math.isfinite(hi - lo):
-        raise ValueError("tau window width must be finite")
-    taus = np.linspace(lo, hi, n_tau)  # lo + j (hi - lo) / (n_tau - 1), as summed below
-
+    taus = uniform_axis(lo, hi, n_tau, "tau window")  # lo + j (hi - lo) / (n_tau - 1), as summed below
     amplitudes = _branch_amplitudes(state, lam, lo, (hi - lo) / (n_tau - 1), n_tau, k)
     nonnodal, nodal = (np.abs(a) ** 2 for a in amplitudes)
     return ToaDistribution(taus, nonnodal + nodal, nonnodal, nodal)
@@ -266,8 +257,6 @@ def most_probable_tau(d: ToaDistribution, p0: float | None = None) -> float | No
     even (psi(-p) = psi(p)*) and only roundoff would pick a mirror peak."""
     if p0 == 0.0:
         return None
-    if d.tau_samples.size == 1:
-        return float(d.tau_samples[0])
     j = int(np.argmax(d.pi_values))
     if j == 0 or j == d.tau_samples.size - 1:
         return None

@@ -517,6 +517,10 @@ DENSITY_ARGV = [
 ]
 TOA_ARGV = ["toa-dist", "--p0", "3", "--x0", "-7", "--n-tau", "21"]
 EIG_ARGV = ["eigenfunction", "--tau", "0.5", "--n", "5"]
+# a 3 x 3 mesh at tau = 1, without its x range
+MESH_ARGV = [
+    "density-grid", "--branch", "nonnodal", "--tau", "1", "--nx", "3", "--tmin", "0", "--tmax", "2", "--nt", "3",
+]
 
 
 def test_dispatch_leaves_no_cyclic_garbage(capsys, tmp_path):
@@ -720,7 +724,7 @@ class TestNonFiniteNumbers:
 
     def test_overflowing_tau_window_refused(self, tmp_path, capsys):
         # a window whose width overflows, and a finite one whose phases do
-        for half, reason in (("1e308", "width must be finite"), ("5e307", "phases tau T_p / hbar are not finite")):
+        for half, reason in (("1e308", "a finite width"), ("5e307", "phases tau T_p / hbar are not finite")):
             out = tmp_path / "data"
             argv = ["toa-dist", "--p0", "3", "--x0", "-7", f"--tau-min=-{half}", f"--tau-max={half}", "--n-tau", "11"]
             with warnings.catch_warnings(record=True) as caught:
@@ -787,7 +791,8 @@ class TestNonFiniteNumbers:
             warnings.simplefilter("always")
             code, stdout, err = run(capsys, "--out", str(out), *argv)
         assert code == 1
-        assert err.splitlines()[-1] == "rtoa: error: x and t range widths must be finite"
+        assert err.splitlines()[-1].startswith(f"rtoa: error: {axis} range [-1e+308, 1e+308] of ")
+        assert "a finite width" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert stdout == "" and list(tmp_path.iterdir()) == []
@@ -809,6 +814,48 @@ class TestNonFiniteNumbers:
         assert err.splitlines()[-1].startswith("rtoa: error: scaled mesh coordinates")
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+class TestSampledAxes:
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["toa-dist", "--p0", "3", "--x0", "-7", "--tau-min", "1", "--tau-max", "1.0000000000001"],
+             "tau window [1, 1] of 2001 samples"),
+            (["density-grid", "--branch", "nonnodal", "--tau", "1", "--xmin", "1", "--xmax", "1.0000000000000002",
+              "--nx", "5", "--tmin", "0", "--tmax", "2", "--nt", "3"], "x range [1, 1] of 5 samples"),
+            # the library refuses a reversed range, as the CLI's own check did
+            ([*MESH_ARGV, "--xmin", "4", "--xmax=-4"], "x range [4, -4] of 3 samples"),
+        ],
+        ids=["tau-repeats", "x-repeats", "x-reversed"],
+    )
+    def test_axis_without_increasing_samples_refused(self, tmp_path, capsys, argv, refusal):
+        # each range and count is refused by one rule, which names the axis
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith(f"rtoa: error: {refusal}: need n >= 2")
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, mesh, fastest",
+        [
+            ([*MESH_ARGV, "--xmin=-1e308", "--xmax", "0"],
+             "|x| <= 1e+308 and |t - tau| <= 1 at PhysConstants(hbar=1.0, c=1.0, m0=1.0)", "1e+308"),
+            (["--hbar", "1e-16", *MESH_ARGV, "--xmin=-1", "--xmax", "1"],
+             "|x| <= 1 and |t - tau| <= 1 at PhysConstants(hbar=1e-16, c=1.0, m0=1.0)", "2e+16"),
+        ],
+        ids=["huge-x", "tiny-hbar"],
+    )
+    def test_panel_count_refusal_names_the_mesh(self, tmp_path, capsys, argv, mesh, fastest):
+        # the engine's refusal names only the q-interval of a tail, which the user never set
+        out = tmp_path / "data"
+        code, stdout, err = run(capsys, "--out", str(out), *argv)
+        assert code == 1
+        line = err.splitlines()[-1]
+        assert line.startswith(f"rtoa: error: density mesh with {mesh}: its |a| + |b| = {fastest} gives panels")
+        assert line.endswith("are too many to count")
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
@@ -876,6 +923,9 @@ class TestExitCodes:
             [*DENSITY_ARGV, "--nx", "100000000000000000"],
             ["--hbar", "1e-16", *DENSITY_ARGV],  # 2.7e17 first-pass panels
             ["--hbar", "1e-150", *DENSITY_ARGV],  # beyond numpy's index range
+            # c^2 is a normal float, but the density scale m0^2 c^3 overflows or underflows
+            ["--c", "1e103", *MESH_ARGV, "--xmin=-1", "--xmax", "1"],
+            ["--c", "1e-150", *MESH_ARGV, "--xmin=-1", "--xmax", "1"],
         ],
     )
     def test_refused_without_a_traceback(self, tmp_path, capsys, argv):

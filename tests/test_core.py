@@ -1,8 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rtoa.core import (
     ChargeSign,
@@ -14,6 +16,7 @@ from rtoa.core import (
     inner_product_phi,
     momentum_grid,
     trapezoid_weights,
+    uniform_axis,
 )
 
 from conftest import phi_field
@@ -151,3 +154,46 @@ class TestGrids:
             momentum_grid(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             momentum_grid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("p_min, p_max", [(-1e308, 1e308), (1.0, 1.0 + 2e-16)], ids=["wide", "repeats"])
+    def test_momentum_grid_refuses_what_it_cannot_sample(self, p_min, p_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy overflows
+            with pytest.raises(ValueError, match=re.escape(f"momentum grid [{p_min:g}, {p_max:g}] of 5 samples")):
+                momentum_grid(p_min, p_max, 5)
+
+
+# equal, reversed, subnormal, huge, infinite and nan bounds, besides any float
+AXIS_BOUNDS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0 + 2e-16, -1.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, math.nan]
+)
+
+
+class TestUniformAxis:
+    @settings(max_examples=400)
+    @given(lo=AXIS_BOUNDS, hi=AXIS_BOUNDS, n=st.integers(-1, 64))
+    def test_linspace_that_increases_or_a_refusal(self, lo, hi, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                axis = uniform_axis(lo, hi, n, "test axis")
+            except ValueError as exc:
+                assert str(exc).startswith(f"test axis [{lo:g}, {hi:g}] of {n} samples: ")
+                return
+        assert n >= 2 and lo < hi and math.isfinite(hi - lo)
+        assert axis.tobytes() == np.linspace(lo, hi, n).tobytes()
+        assert np.all(np.diff(axis) > 0.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(0.0, 1.0, 1), (0.0, 1.0, -1), (1.0, 1.0, 5), (2.0, 1.0, 5), (math.nan, 1.0, 5), (0.0, math.inf, 5),
+         (-1e308, 1e308, 5), (1.0, 1.0 + 2e-16, 5), (0.0, 5e-324, 3)],
+        ids=["one-sample", "negative-count", "empty", "reversed", "nan", "infinite", "overflowing-width",
+             "repeats", "subnormal-repeats"],
+    )
+    def test_refusals_name_the_axis_its_range_and_count(self, lo, hi, n):
+        with pytest.raises(ValueError, match=re.escape(f"x range [{lo:g}, {hi:g}] of {n} samples")):
+            uniform_axis(lo, hi, n, "x range")
+
+    def test_two_subnormal_samples_are_an_axis(self):
+        assert uniform_axis(0.0, 5e-324, 2, "x range").tolist() == [0.0, 5e-324]

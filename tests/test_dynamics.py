@@ -1,6 +1,7 @@
 """Position-space densities: oracle values and symmetries."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -289,8 +290,23 @@ class TestDensityGrid:
     def test_non_finite_range_width_refused(self, x_range, t_range):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before numpy overflows
-            with pytest.raises(ValueError, match="range widths must be finite"):
+            with pytest.raises(ValueError, match="range .* a finite width"):
                 density_grid(Parity.NONNODAL, 0.5, x_range, t_range, 3, 2, K, Q)
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    @pytest.mark.parametrize("bounds", [(4.0, -4.0), (1.0, 1.0)], ids=["reversed", "empty"])
+    def test_reversed_or_empty_range_refused(self, axis, bounds):
+        ranges = {"x": (-1.0, 1.0), "t": (0.0, 1.0), axis: bounds}
+        with pytest.raises(ValueError, match=re.escape(f"{axis} range [{bounds[0]:g}, {bounds[1]:g}] of 3 samples")):
+            density_grid(Parity.NONNODAL, 0.5, ranges["x"], ranges["t"], 3, 3, K, Q)
+
+    @pytest.mark.parametrize("c", [1e103, 1e-150], ids=["overflows", "underflows"])
+    def test_density_scale_that_is_not_a_normal_float_refused(self, c):
+        # c^2 is a normal float, so the constants are accepted; m0^2 c^3 is not
+        k = PhysConstants(c=c)
+        refusal = re.escape("density scale m0^2 c^3 / (2 pi^2 hbar^2)") + ".*" + re.escape(repr(k))
+        with pytest.raises(ValueError, match=refusal):
+            density_grid(Parity.NONNODAL, 1.0, (-1.0, 1.0), (0.0, 2.0), 3, 3, k, Q)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

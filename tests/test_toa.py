@@ -170,7 +170,7 @@ class TestDistribution:
 
     @pytest.mark.parametrize("window", [(10.0, 5.0), (5.0, 5.0), (math.nan, 5.0)])
     def test_window_that_does_not_increase_refused(self, window):
-        with pytest.raises(ValueError, match="tau window must increase"):
+        with pytest.raises(ValueError, match="tau window .* lo < hi"):
             toa_distribution(gaussian_state(3.0, -7.0, K).field(), window, 11, K)
 
     def test_most_probable_above_photon_time(self):
@@ -184,10 +184,6 @@ class TestDistribution:
     def test_boundary_maximum_flagged(self):
         d = toa_distribution(gaussian_state(3.0, -7.0, K).field(), (0.0, 5.0), 101, K)
         assert most_probable_tau(d) is None  # peak sits near 7.4, outside the window
-
-    def test_single_sample(self):
-        d = ToaDistribution(np.array([2.5]), np.array([1.0]), np.array([0.6]), np.array([0.4]))
-        assert most_probable_tau(d) == 2.5
 
     def test_sampled_state_entry_point(self):
         state = gaussian_state(3.0, -7.0, K)
